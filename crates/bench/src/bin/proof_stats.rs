@@ -22,8 +22,18 @@
 //! and CC, triple mode at EC. The reports additionally run pairs at SER
 //! (see [`REPORT_SWEEP`]). `ATROPOS_THIN=1` is accepted for CI symmetry
 //! with the other bins but thins nothing: the timed sweep is a fraction
-//! of the bin's runtime, and the TPC-C ceiling needs the full best-of-N
-//! to be pinnable against wall-clock noise.
+//! of the bin's runtime, and the TPC-C ceiling needs every repetition to
+//! be pinnable against wall-clock noise.
+//!
+//! The overhead is the **median of per-pair ratios**: each repetition
+//! times one proofs-off and one proofs-on sweep back to back, and the
+//! order alternates between repetitions, so a slow stretch of the machine
+//! lands on both halves of a pair instead of on one whole mode's block,
+//! and a burst that skews a single pair is discarded by the median. The
+//! timed sweeps run on one worker whatever `--threads` says. (On a shared
+//! 2-vCPU host, TPC-C's ratio of best-of-N blocks read anywhere from
+//! 1.15x to 1.62x for the same code, and the median of 31 pairs on two
+//! workers 1.22x to 1.52x; on one worker it stayed within 1.26–1.32x.)
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -248,14 +258,21 @@ fn render_report(b: &Benchmark, outcome: &SweepOutcome, generated: &str) -> Stri
     anomaly_report_markdown(b.name, generated, &rows, &traces)
 }
 
+/// The median of `xs` (the mean of the middle two for an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    (xs[(n - 1) / 2] + xs[n / 2]) / 2.0
+}
+
 fn main() {
     let threads = engine_from_args().threads();
-    // Best-of-5 regardless of ATROPOS_THIN: the overhead ratio gates
-    // csv_smoke's 1.5x ceiling and fewer repetitions are too noisy to
-    // pin against, while the timed sweep is a fraction of the report
+    // 31 pairs regardless of ATROPOS_THIN: the overhead ratio gates
+    // csv_smoke's 1.5x ceiling and fewer pairs are too noisy to pin
+    // against, while the timed sweeps are a fraction of the report
     // sweep's cost anyway.
     let thin = thin_slice();
-    let reps = 5;
+    let reps = 31;
     let generated = utc_stamp();
 
     let benchmarks: Vec<Benchmark> = all_benchmarks()
@@ -263,33 +280,37 @@ fn main() {
         .chain(chain_scenarios())
         .collect();
     println!(
-        "proof_stats: {} benchmarks, best-of-{reps} timing ({threads} threads{})",
+        "proof_stats: {} benchmarks, median of {reps} interleaved on/off pairs \
+         (timed on 1 worker, reports on {threads}{})",
         benchmarks.len(),
         if thin { ", thin" } else { "" },
     );
 
     let mut table = Table::new(proof_stats_header());
     for b in &benchmarks {
-        // Best-of-N wall time per logging mode; fresh engine and session
-        // each repetition so both modes do identical (cold) work. Each
-        // measurement is three back-to-back sweeps: the single-sweep
-        // window (~50ms on TPC-C) is short enough for one scheduler
-        // burst to swing the overhead ratio past its pinned ceiling.
-        let mut off_seconds = f64::INFINITY;
-        let mut on_seconds = f64::INFINITY;
+        // Interleaved on/off pairs of single sweeps, alternating which
+        // mode runs first; fresh engine and session each sweep so both
+        // modes do identical (cold) work. Timed on one worker: the
+        // overhead is a per-solve cost, and fanning out over a shared
+        // host's cores only adds scheduling noise to the ratio.
+        let (mut offs, mut ons, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
         let mut last = None;
-        for _ in 0..reps {
-            let off: f64 = (0..3).map(|_| sweep(b, threads, false, &TIMED_SWEEP).seconds).sum();
-            off_seconds = off_seconds.min(off / 3.0);
-            let mut on_total = 0.0;
-            for _ in 0..3 {
-                let on = sweep(b, threads, true, &TIMED_SWEEP);
-                on_total += on.seconds;
-                last = Some(on);
+        for rep in 0..reps {
+            let mut pair = [0.0f64; 2];
+            let order = if rep % 2 == 0 { [false, true] } else { [true, false] };
+            for proofs in order {
+                let run = sweep(b, 1, proofs, &TIMED_SWEEP);
+                pair[usize::from(proofs)] = run.seconds;
+                if proofs {
+                    last = Some(run);
+                }
             }
-            on_seconds = on_seconds.min(on_total / 3.0);
+            offs.push(pair[0]);
+            ons.push(pair[1]);
+            ratios.push(pair[1] / pair[0].max(1e-9));
         }
         let on = last.expect("at least one repetition");
+        let (off_seconds, on_seconds, overhead) = (median(offs), median(ons), median(ratios));
 
         let blobs = on.session.proof_blobs();
         let checked = blobs
@@ -305,7 +326,7 @@ fn main() {
             checked,
             blobs.len(),
             proof_bytes,
-            on_seconds / off_seconds.max(1e-9),
+            overhead,
         );
         table.row(proof_stats_row(
             b.name,
@@ -316,6 +337,7 @@ fn main() {
             proof_bytes,
             off_seconds,
             on_seconds,
+            overhead,
         ));
 
         let audit = sweep(b, threads, true, &REPORT_SWEEP);

@@ -38,9 +38,9 @@ pub fn engine_from_args() -> atropos_detect::DetectionEngine {
     atropos_detect::DetectionEngine::from_env()
 }
 
-/// The cross-process verdict-cache file the operator opted into via the
-/// `ATROPOS_CACHE_FILE` environment variable (conventionally
-/// `experiments/verdict_cache.v1`), or `None` when unset/empty.
+/// The cross-process verdict store directory the operator opted into via
+/// the `ATROPOS_CACHE_FILE` environment variable (conventionally
+/// `experiments/verdict_cache.v2`), or `None` when unset/empty.
 pub fn cache_file_from_env() -> Option<std::path::PathBuf> {
     std::env::var_os("ATROPOS_CACHE_FILE")
         .filter(|v| !v.is_empty())
@@ -48,11 +48,12 @@ pub fn cache_file_from_env() -> Option<std::path::PathBuf> {
 }
 
 /// A [`atropos_detect::DetectSession`] warm-started from the
-/// `ATROPOS_CACHE_FILE` verdict file when the variable is set and the file
-/// loads, or a fresh session otherwise — the cross-process reuse half of
-/// the session persistence satellite. A missing or malformed file is
-/// reported and degrades to a cold session (a benchmark run must not die
-/// on a stale cache).
+/// `ATROPOS_CACHE_FILE` store directory when the variable is set and the
+/// store loads (a missing directory is an empty store), or a fresh
+/// session otherwise — the cross-process reuse half of session
+/// persistence. A store that fails to load (a corrupt shard, or a file at
+/// the path) is reported and degrades to a cold session (a benchmark run
+/// must not die on a stale cache).
 pub fn session_from_env() -> atropos_detect::DetectSession {
     let Some(path) = cache_file_from_env() else {
         return atropos_detect::DetectSession::new();
@@ -68,15 +69,13 @@ pub fn session_from_env() -> atropos_detect::DetectSession {
             session
         }
         Err(e) => {
-            if path.exists() {
-                eprintln!("ignoring verdict cache {}: {e}", path.display());
-            }
+            eprintln!("ignoring verdict cache {}: {e}", path.display());
             atropos_detect::DetectSession::new()
         }
     }
 }
 
-/// Persists `session`'s verdicts back to the `ATROPOS_CACHE_FILE` path, if
+/// Merges `session`'s verdicts back into the `ATROPOS_CACHE_FILE` store, if
 /// configured — the save half of [`session_from_env`]. Errors are reported
 /// and swallowed (persistence is an optimization, never a failure mode).
 pub fn persist_session_from_env(session: &atropos_detect::DetectSession) {

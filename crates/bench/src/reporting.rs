@@ -463,7 +463,8 @@ pub fn proof_stats_header() -> Vec<String> {
 /// the proofs-on sweep's [`DetectStats`]; `certificates` is the number of
 /// proof blobs the session banked, `checked` how many the checker
 /// accepted, `proof_bytes` their total encoded size; the two wall times
-/// are the best-of-N sweeps with logging off and on.
+/// are the median sweeps with logging off and on, and `overhead` the
+/// median of the per-pair on/off ratios.
 #[allow(clippy::too_many_arguments)]
 pub fn proof_stats_row(
     name: &str,
@@ -474,6 +475,7 @@ pub fn proof_stats_row(
     proof_bytes: usize,
     off_seconds: f64,
     on_seconds: f64,
+    overhead: f64,
 ) -> Vec<String> {
     vec![
         name.to_owned(),
@@ -484,7 +486,7 @@ pub fn proof_stats_row(
         format!("{proof_bytes}"),
         format!("{off_seconds:.3}"),
         format!("{on_seconds:.3}"),
-        format!("{:.2}x", on_seconds / off_seconds.max(1e-9)),
+        format!("{overhead:.2}x"),
     ]
 }
 

@@ -399,7 +399,7 @@ fn corpus_stats_rows_match_their_header() {
 #[test]
 fn proof_stats_rows_match_their_header() {
     let mut t = Table::new(proof_stats_header());
-    t.row(proof_stats_row("TPC-C", 208, 6, 6, 6, 6_618_364, 0.044, 0.060));
+    t.row(proof_stats_row("TPC-C", 208, 6, 6, 6, 6_618_364, 0.044, 0.060, 0.060 / 0.044));
     let parsed = parse_csv(&t.to_csv());
     assert_csv_shape(&parsed, "proof-stats CSV");
     let header: Vec<&str> = parsed[0].iter().map(String::as_str).collect();

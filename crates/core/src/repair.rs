@@ -610,9 +610,7 @@ fn repair_core(
     if config.enable_split {
         let before = current.clone();
         pre_process(&mut current, &initial, &mut steps);
-        let dirty = dirty_between(&before, &current);
-        if !dirty.is_empty() {
-            apply_dirty(oracle, &dirty);
+        if !dirty_between(&before, &current).is_empty() {
             last_verdict = None;
         }
     }
@@ -646,7 +644,6 @@ fn repair_core(
                     if let Some(it) = stats.iterations.last_mut() {
                         it.dirtied_txns = dirty.txns.iter().cloned().collect();
                     }
-                    apply_dirty(oracle, &dirty);
                     progress = true;
                     break;
                 }
@@ -665,7 +662,6 @@ fn repair_core(
     let post = if config.enable_postprocess {
         let (report, dirty) = post_process_tracked(&mut current);
         if !dirty.is_empty() {
-            apply_dirty(oracle, &dirty);
             last_verdict = None;
         }
         report
@@ -695,16 +691,6 @@ fn repair_core(
         post,
         stats,
         seconds: start.elapsed().as_secs_f64(),
-    }
-}
-
-/// Funnels one step's [`DirtySet`] into the session's verdict cache: pure
-/// relabelings are remapped so surviving entries serve current labels.
-/// Eviction needs no driver action — the next detection pass sweeps
-/// stranded entries by fingerprint liveness itself.
-fn apply_dirty(oracle: &mut Oracle<'_, '_>, dirty: &DirtySet) {
-    if let Oracle::Engine { session, .. } = oracle {
-        session.record_renames(&dirty.renames);
     }
 }
 

@@ -15,25 +15,27 @@
 //! violation templates can observe about a transaction: its name and, per
 //! command in program order, the kind, schema, read/write field sets, key
 //! specification, bound variable, and used variables. Command **labels are
-//! deliberately excluded** — a pure relabeling preserves verdicts, and the
-//! cache remaps labels in cached [`AccessPair`]s through the rename map the
-//! refactoring rules report ([`VerdictCache::record_renames`]). Anything
-//! else a rewrite can change (field sets, filters, schemas, command order)
-//! lands in the fingerprint, so a stale hit is impossible as long as the
-//! fingerprint is *sound*: any mutation that changes a command's access
-//! behaviour must change it. That soundness obligation is pinned by the
-//! property suite in `crates/detect/tests/fingerprint_prop.rs`, not by the
-//! end-to-end tests.
+//! deliberately excluded** — a pure relabeling preserves verdicts — so a
+//! cached verdict names its commands by **position** (the index within
+//! the named transaction, whose name is part of the fingerprint) and the
+//! detection pass answers it in the labels of whichever program asks
+//! (`to_positions` / `to_labels`). Two programs sharing a transaction
+//! shape under different labels therefore share the entry but each read
+//! their own labels back. Anything else a rewrite can change (field sets,
+//! filters, schemas, command order) lands in the fingerprint, so a stale
+//! hit is impossible as long as the fingerprint is *sound*: any mutation
+//! that changes a command's access behaviour must change it. That
+//! soundness obligation is pinned by the property suite in
+//! `crates/detect/tests/fingerprint_prop.rs`, not by the end-to-end tests.
 //!
 //! # The invalidation contract
 //!
 //! Soundness never depends on explicit invalidation (a changed pair simply
-//! misses), but every refactoring rule still reports the transactions it
-//! dirtied so the driver can call [`VerdictCache::invalidate_txns`]: this
-//! evicts the stale entries (bounding memory across long repair runs) and
-//! keeps the reuse statistics honest. Rules that relabel commands without
-//! changing their summaries must report the relabeling via
-//! [`VerdictCache::record_renames`] instead.
+//! misses), but callers that know which transactions a refactoring step
+//! dirtied may call [`VerdictCache::invalidate_txns`] (or the precise
+//! [`VerdictCache::invalidate_txns_changed`]): this evicts the stale
+//! entries (bounding memory across long repair runs) and keeps the reuse
+//! statistics honest. Pure relabelings need no notice at all.
 //!
 //! # Solver retention
 //!
@@ -56,10 +58,9 @@
 //! is orientation-normalized (every role permutation is analysed inside
 //! one entry) — with their own retained [`crate::triple::TripleSolver`]s
 //! in a second sharded map. Triple entries follow the same contracts as
-//! pair entries: label renames remap them eagerly
-//! ([`VerdictCache::record_renames`]), liveness sweeps keep an entry only
-//! while all three fingerprints are live, and `invalidate_txns` evicts by
-//! any member transaction's name.
+//! pair entries: they hold command positions, liveness sweeps keep an
+//! entry only while all three fingerprints are live, and `invalidate_txns`
+//! evicts by any member transaction's name.
 //!
 //! # Multi-run lifetimes
 //!
@@ -76,11 +77,11 @@
 //! cross-run counters of [`CacheStats`].
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-use atropos_dsl::Program;
+use atropos_dsl::{CmdLabel, Program};
 use atropos_sat::Lit;
 
 use crate::detect::AccessPair;
@@ -92,8 +93,9 @@ use crate::triple::TripleState;
 /// information the pair encoding and the violation templates consume.
 ///
 /// Two summaries with equal fingerprints produce identical detection
-/// verdicts when paired with equal-fingerprint partners (up to command
-/// labels, which are excluded — see the module docs). The fingerprint is a
+/// verdicts when paired with equal-fingerprint partners, up to command
+/// labels, which are excluded: a cached verdict names commands by position
+/// (see the module docs). The fingerprint is a
 /// 64-bit hash of a canonical serialization; collisions are possible in
 /// principle but vanishingly unlikely at repair-loop cache sizes
 /// (tens of entries).
@@ -118,7 +120,7 @@ pub fn cmd_fingerprint(c: &CmdSummary) -> u64 {
 }
 
 fn hash_cmd(c: &CmdSummary, h: &mut impl Hasher) {
-    // NOT hashed: c.label — relabelings resolve through the rename map.
+    // NOT hashed: c.label — cached verdicts name commands by position.
     (c.kind as u8).hash(h);
     c.schema.hash(h);
     c.prog_index.hash(h);
@@ -225,7 +227,8 @@ pub(crate) struct VerdictEntry {
     pub(crate) txn2: String,
     /// Run (see [`VerdictCache::advance_run`]) this entry was inserted in.
     pub(crate) run: u64,
-    /// Raw `analyse_pair` output for this ordered pair (pre-deduplication).
+    /// Raw `analyse_pair` output for this ordered pair (pre-deduplication),
+    /// in positional form (see [`to_positions`]).
     pub(crate) pairs: Vec<AccessPair>,
     /// Proof certificates of the UNSAT queries behind this verdict
     /// (`atropos_proof` blobs); empty unless the analysing engine had
@@ -245,10 +248,71 @@ pub(crate) struct TripleEntry {
     pub(crate) txns: [String; 3],
     /// Run (see [`VerdictCache::advance_run`]) this entry was inserted in.
     pub(crate) run: u64,
-    /// Raw `analyse_triple` output for this triple (pre-deduplication).
+    /// Raw `analyse_triple` output for this triple (pre-deduplication),
+    /// in positional form (see [`to_positions`]).
     pub(crate) pairs: Vec<AccessPair>,
     /// Proof certificates of the UNSAT queries behind this verdict.
     pub(crate) proofs: Vec<Vec<u8>>,
+}
+
+/// Rewrites freshly solved verdicts into the cache's label-free form:
+/// each command label becomes the command's position within its
+/// transaction, as `position(transaction, label)` reports it from the
+/// summaries the verdicts were produced with, and each pair is oriented by
+/// `(transaction, position)`. The stored form then depends only on the
+/// fingerprinted shapes, never on the labels of whichever program solved
+/// them first.
+pub(crate) fn to_positions(
+    pairs: Vec<AccessPair>,
+    position: impl Fn(&str, &CmdLabel) -> usize,
+) -> Vec<AccessPair> {
+    pairs
+        .into_iter()
+        .map(|mut p| {
+            let (pos1, pos2) = (position(&p.txn1, &p.cmd1), position(&p.txn2, &p.cmd2));
+            p.cmd1 = CmdLabel(pos1.to_string());
+            p.cmd2 = CmdLabel(pos2.to_string());
+            if (&p.txn1, pos1) > (&p.txn2, pos2) {
+                swap_sides(&mut p);
+            }
+            p
+        })
+        .collect()
+}
+
+/// Answers positional verdicts in the labels of `asking` (the summaries
+/// of the program that asked), re-applying the detector's label-order
+/// orientation so the result equals what that program's own solve would
+/// have produced. `None` when a position names no command of `asking`.
+pub(crate) fn to_labels(pairs: &[AccessPair], asking: &[TxnSummary]) -> Option<Vec<AccessPair>> {
+    let label = |txn: &str, pos: &CmdLabel| -> Option<CmdLabel> {
+        let t = asking.iter().find(|t| t.name == txn)?;
+        Some(t.commands.get(pos.0.parse::<usize>().ok()?)?.label.clone())
+    };
+    let mut out = Vec::with_capacity(pairs.len());
+    for p in pairs {
+        let mut q = AccessPair {
+            cmd1: label(&p.txn1, &p.cmd1)?,
+            fields1: p.fields1.clone(),
+            cmd2: label(&p.txn2, &p.cmd2)?,
+            fields2: p.fields2.clone(),
+            txn1: p.txn1.clone(),
+            txn2: p.txn2.clone(),
+            witnesses: p.witnesses.clone(),
+            kind: p.kind,
+        };
+        if q.cmd1.0 > q.cmd2.0 {
+            swap_sides(&mut q);
+        }
+        out.push(q);
+    }
+    Some(out)
+}
+
+fn swap_sides(p: &mut AccessPair) {
+    std::mem::swap(&mut p.cmd1, &mut p.cmd2);
+    std::mem::swap(&mut p.fields1, &mut p.fields2);
+    std::mem::swap(&mut p.txn1, &mut p.txn2);
 }
 
 /// Retained per-pair analysis state: the grounded two-instance model and,
@@ -347,15 +411,6 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
     fn retain(&mut self, mut f: impl FnMut(&K, &V) -> bool) {
         for shard in &mut self.shards {
             shard.get_mut().expect("state shard poisoned").retain(|k, s| f(k, s));
-        }
-    }
-
-    /// Mutable visit of every retained state (exclusive access).
-    fn for_each_mut(&mut self, mut f: impl FnMut(&mut V)) {
-        for shard in &mut self.shards {
-            for s in shard.get_mut().expect("state shard poisoned").values_mut() {
-                f(s);
-            }
         }
     }
 }
@@ -567,47 +622,6 @@ impl VerdictCache {
         self.verdicts.is_empty() && self.triples.is_empty()
     }
 
-    /// Records the label renames of one refactoring step that *did not*
-    /// change the renamed commands' summaries (a pure relabeling), applying
-    /// them **eagerly and simultaneously** to every cached verdict and to
-    /// every retained pair model — so a swap batch `{a → b, b → a}` is
-    /// exact, and renames across successive steps compose by construction
-    /// (`a → b` now, `b → c` later, serves `c`). After this call the cache
-    /// speaks only the post-step label language, for hits and for fresh
-    /// analyses through retained state alike.
-    pub fn record_renames(&mut self, renames: &BTreeMap<String, String>) {
-        if renames.is_empty() {
-            return;
-        }
-        let remap = |label: &mut String| {
-            if let Some(to) = renames.get(label.as_str()) {
-                *label = to.clone();
-            }
-        };
-        for e in self.verdicts.values_mut() {
-            for p in &mut e.pairs {
-                remap(&mut p.cmd1.0);
-                remap(&mut p.cmd2.0);
-            }
-        }
-        for e in self.triples.values_mut() {
-            for p in &mut e.pairs {
-                remap(&mut p.cmd1.0);
-                remap(&mut p.cmd2.0);
-            }
-        }
-        self.states.for_each_mut(|s| {
-            for c in s.model.cmds.iter_mut() {
-                remap(&mut c.summary.label.0);
-            }
-        });
-        self.triple_states.for_each_mut(|s| {
-            for c in s.model.model.cmds.iter_mut() {
-                remap(&mut c.summary.label.0);
-            }
-        });
-    }
-
     /// Evicts every verdict entry and retained solver involving one of the
     /// named transactions. Returns the number of verdict entries evicted.
     ///
@@ -638,8 +652,8 @@ impl VerdictCache {
     /// name is absent from `after`, or present with a different
     /// fingerprint. A pure relabeling leaves every fingerprint intact, so
     /// (unlike the coarse [`VerdictCache::invalidate_txns`]) this keeps the
-    /// warm entries the rename map already composes lookups through, and a
-    /// warm re-detection after a rename-only step equals a cold oracle
+    /// warm entries — which answer in the relabelled program's labels — and
+    /// a warm re-detection after a rename-only step equals a cold oracle
     /// without re-solving anything. Returns the number of verdict entries
     /// evicted.
     pub fn invalidate_txns_changed(&mut self, txns: &BTreeSet<String>, after: &Program) -> usize {
@@ -684,28 +698,23 @@ impl VerdictCache {
     /// would-be hit into a re-solve. Returns the number of verdict entries
     /// evicted.
     pub fn sweep(&mut self, program: &Program) -> usize {
-        self.session_live = summarize_program(program)
-            .iter()
-            .map(txn_fingerprint)
-            .collect();
-        self.retain_session_live()
+        self.sweep_fps(summarize_program(program).iter().map(txn_fingerprint).collect())
     }
 
     /// The per-pass sweep: folds the pass's live transaction fingerprints
     /// into the session's liveness union, then garbage-collects entries
-    /// outside the union. [`crate::detect_anomalies_cached`] and the
-    /// [`crate::DetectionEngine`] call this at the start of every pass with
-    /// the fingerprints they compute anyway. Within a single-program
-    /// lifetime this degenerates to the precise per-program sweep; across a
-    /// session it keeps warm entries of *every* program seen alive (bound
-    /// memory with the explicit [`VerdictCache::sweep`]).
+    /// outside the union. Every detection pass calls this once, before
+    /// planning, with the fingerprints of all its programs. Within a
+    /// single-program lifetime this degenerates to the precise per-program
+    /// sweep; across a session it keeps warm entries of *every* program
+    /// seen alive (bound memory with the explicit [`VerdictCache::sweep`]).
     pub(crate) fn sweep_live(&mut self, fps: &[u64]) -> usize {
         self.session_live.extend(fps.iter().copied());
         self.retain_session_live()
     }
 
-    /// **Resets** liveness to exactly the given fingerprint set — the
-    /// corpus-driver variant of [`VerdictCache::sweep`]: a batch run over
+    /// **Resets** liveness to exactly the given fingerprint set — the body
+    /// of [`VerdictCache::sweep`], and its corpus variant: a batch run over
     /// many programs bounds memory to the whole corpus at once, so no
     /// program's pass strands another's warm entries. Returns the number
     /// of verdict entries evicted.
@@ -731,225 +740,97 @@ impl VerdictCache {
         evicted
     }
 
-    /// Looks up the cached verdicts for an ordered pair (already in the
-    /// current label language — see [`VerdictCache::record_renames`]).
-    /// Bumps hit/miss statistics.
+    /// Looks up the cached verdicts for an ordered pair and answers them
+    /// in the labels of `asking`, the summaries of the program whose slot
+    /// this is (see [`to_labels`]). Bumps hit/miss statistics; an entry
+    /// whose positions name no command of `asking` (only a corrupt store
+    /// can hold one) counts as a miss, so the pair is re-solved.
     pub(crate) fn lookup(
         &mut self,
-        fp1: u64,
-        fp2: u64,
-        symmetric: bool,
-        level: ConsistencyLevel,
+        key: VerdictKey,
+        asking: &[TxnSummary],
     ) -> Option<Vec<AccessPair>> {
         self.stats.lookups += 1;
-        // Cross-run accounting engages from the second run onwards: only
-        // then can a lookup possibly be served by an earlier run's entry.
+        let found = self.verdicts.get(&key).map(|e| (e.run, to_labels(&e.pairs, asking)));
+        let hit = self.count_lookup(found);
+        if hit.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+        hit
+    }
+
+    /// The triple sibling of [`VerdictCache::lookup`], under the
+    /// canonical key (fingerprints sorted — see [`TripleVerdictKey`]).
+    pub(crate) fn lookup_triple(
+        &mut self,
+        key: TripleVerdictKey,
+        asking: &[TxnSummary],
+    ) -> Option<Vec<AccessPair>> {
+        self.stats.triple_lookups += 1;
+        let found = self.triples.get(&key).map(|e| (e.run, to_labels(&e.pairs, asking)));
+        let hit = self.count_lookup(found);
+        if hit.is_some() {
+            self.stats.triple_hits += 1;
+        } else {
+            self.stats.triple_misses += 1;
+        }
+        hit
+    }
+
+    /// The cross-run accounting shared by pair and triple lookups: it
+    /// engages from the second run onwards, when a lookup can first be
+    /// served by an earlier run's entry.
+    fn count_lookup(
+        &mut self,
+        found: Option<(u64, Option<Vec<AccessPair>>)>,
+    ) -> Option<Vec<AccessPair>> {
         let cross = self.run >= 2;
         if cross {
             self.stats.cross_run_lookups += 1;
         }
-        match self.verdicts.get(&(fp1, fp2, symmetric, level)) {
-            Some(e) => {
-                self.stats.hits += 1;
-                if cross && e.run < self.run {
-                    self.stats.cross_run_hits += 1;
-                }
-                Some(e.pairs.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        let (born, pairs) = found?;
+        let pairs = pairs?;
+        if cross && born < self.run {
+            self.stats.cross_run_hits += 1;
         }
+        Some(pairs)
     }
 
-    /// Inserts the raw verdicts of one ordered-pair analysis.
-    #[allow(clippy::too_many_arguments)]
+    /// Inserts the positional verdicts of one ordered-pair analysis.
     pub(crate) fn insert(
         &mut self,
-        fp1: u64,
-        fp2: u64,
-        symmetric: bool,
-        level: ConsistencyLevel,
-        t1: &TxnSummary,
-        t2: &TxnSummary,
+        key: VerdictKey,
+        txns: [&str; 2],
         pairs: Vec<AccessPair>,
         proofs: Vec<Vec<u8>>,
     ) {
-        self.verdicts.insert(
-            (fp1, fp2, symmetric, level),
-            VerdictEntry {
-                txn1: t1.name.clone(),
-                txn2: t2.name.clone(),
-                run: self.run,
-                pairs,
-                proofs,
-            },
-        );
+        let entry = VerdictEntry {
+            txn1: txns[0].to_owned(),
+            txn2: txns[1].to_owned(),
+            run: self.run,
+            pairs,
+            proofs,
+        };
+        self.verdicts.insert(key, entry);
     }
 
-    /// Looks up the cached verdicts for a transaction triple under its
-    /// canonical key (fingerprints sorted — see [`TripleVerdictKey`]).
-    /// Bumps the triple hit/miss statistics and, past the first run
-    /// boundary, the shared cross-run counters.
-    pub(crate) fn lookup_triple(&mut self, key: TripleVerdictKey) -> Option<Vec<AccessPair>> {
-        self.stats.triple_lookups += 1;
-        let cross = self.run >= 2;
-        if cross {
-            self.stats.cross_run_lookups += 1;
-        }
-        match self.triples.get(&key) {
-            Some(e) => {
-                self.stats.triple_hits += 1;
-                if cross && e.run < self.run {
-                    self.stats.cross_run_hits += 1;
-                }
-                Some(e.pairs.clone())
-            }
-            None => {
-                self.stats.triple_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts the raw verdicts of one triple analysis.
+    /// Inserts the positional verdicts of one triple analysis.
     pub(crate) fn insert_triple(
         &mut self,
         key: TripleVerdictKey,
-        txns: [&TxnSummary; 3],
+        txns: [&str; 3],
         pairs: Vec<AccessPair>,
         proofs: Vec<Vec<u8>>,
     ) {
-        self.triples.insert(
-            key,
-            TripleEntry {
-                txns: [
-                    txns[0].name.clone(),
-                    txns[1].name.clone(),
-                    txns[2].name.clone(),
-                ],
-                run: self.run,
-                pairs,
-                proofs,
-            },
-        );
-    }
-
-    /// Serializes every pair and triple verdict entry into the
-    /// `verdict_cache.v1` byte format (see [`persist`]); entries are
-    /// written in sorted key order so equal caches produce equal bytes.
-    /// Retained solvers are transient and not persisted. Returns the
-    /// number of entries written.
-    pub(crate) fn save_entries(&self, out: &mut Vec<u8>) -> usize {
-        out.extend_from_slice(persist::MAGIC);
-        persist::put_u32(out, persist::ENCODER_REVISION);
-        let mut pair_keys: Vec<&VerdictKey> = self.verdicts.keys().collect();
-        pair_keys.sort();
-        persist::put_u64(out, pair_keys.len() as u64);
-        for k in &pair_keys {
-            let e = &self.verdicts[*k];
-            persist::put_u64(out, k.0);
-            persist::put_u64(out, k.1);
-            out.push(u8::from(k.2));
-            out.push(k.3.index() as u8);
-            persist::put_str(out, &e.txn1);
-            persist::put_str(out, &e.txn2);
-            persist::put_pairs(out, &e.pairs);
-            persist::put_blobs(out, &e.proofs);
-        }
-        let mut triple_keys: Vec<&TripleVerdictKey> = self.triples.keys().collect();
-        triple_keys.sort();
-        persist::put_u64(out, triple_keys.len() as u64);
-        for k in &triple_keys {
-            let e = &self.triples[*k];
-            persist::put_u64(out, k.0);
-            persist::put_u64(out, k.1);
-            persist::put_u64(out, k.2);
-            out.push(k.3.index() as u8);
-            for t in &e.txns {
-                persist::put_str(out, t);
-            }
-            persist::put_pairs(out, &e.pairs);
-            persist::put_blobs(out, &e.proofs);
-        }
-        pair_keys.len() + triple_keys.len()
-    }
-
-    /// Reconstructs a cache from [`VerdictCache::save_entries`] bytes.
-    /// Every entry loads into run 0, and the liveness union is seeded with
-    /// every fingerprint occurring in a key — so a later pass over *any*
-    /// of the programs the entries came from answers warm instead of
-    /// sweeping the rest away first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`std::io::ErrorKind::InvalidData`] on a bad magic, an
-    /// encoder-revision mismatch, an unknown tag, or a truncated buffer.
-    pub(crate) fn load_entries(bytes: &[u8]) -> std::io::Result<VerdictCache> {
-        let mut r = persist::Reader::new(bytes);
-        r.expect_magic()?;
-        r.expect_revision()?;
-        let mut cache = VerdictCache::new();
-        let n_pairs = r.u64()?;
-        for _ in 0..n_pairs {
-            let fp1 = r.u64()?;
-            let fp2 = r.u64()?;
-            let symmetric = r.u8()? != 0;
-            let level = ConsistencyLevel::from_index(r.u8()? as usize)
-                .ok_or_else(|| persist::bad("unknown consistency-level tag"))?;
-            let txn1 = r.string()?;
-            let txn2 = r.string()?;
-            let pairs = r.pairs()?;
-            let proofs = r.blobs()?;
-            cache.verdicts.insert(
-                (fp1, fp2, symmetric, level),
-                VerdictEntry {
-                    txn1,
-                    txn2,
-                    run: 0,
-                    pairs,
-                    proofs,
-                },
-            );
-            cache.session_live.extend([fp1, fp2]);
-        }
-        let n_triples = r.u64()?;
-        for _ in 0..n_triples {
-            let fp1 = r.u64()?;
-            let fp2 = r.u64()?;
-            let fp3 = r.u64()?;
-            let level = ConsistencyLevel::from_index(r.u8()? as usize)
-                .ok_or_else(|| persist::bad("unknown consistency-level tag"))?;
-            let txns = [r.string()?, r.string()?, r.string()?];
-            let pairs = r.pairs()?;
-            let proofs = r.blobs()?;
-            cache.triples.insert(
-                (fp1, fp2, fp3, level),
-                TripleEntry {
-                    txns,
-                    run: 0,
-                    pairs,
-                    proofs,
-                },
-            );
-            cache.session_live.extend([fp1, fp2, fp3]);
-        }
-        Ok(cache)
-    }
-
-    /// True when a pair verdict is cached under `key`. Unlike
-    /// [`VerdictCache::lookup`] this is a pure probe: no statistics are
-    /// bumped — the corpus planner uses it to dedup dirty pairs across a
-    /// whole corpus without inflating the per-program hit accounting.
-    pub(crate) fn contains_pair(&self, key: &VerdictKey) -> bool {
-        self.verdicts.contains_key(key)
-    }
-
-    /// True when a triple verdict is cached under `key` (pure probe, no
-    /// statistics — see [`VerdictCache::contains_pair`]).
-    pub(crate) fn contains_triple(&self, key: &TripleVerdictKey) -> bool {
-        self.triples.contains_key(key)
+        let entry = TripleEntry {
+            txns: txns.map(str::to_owned),
+            run: self.run,
+            pairs,
+            proofs,
+        };
+        self.triples.insert(key, entry);
     }
 
     /// Every pair entry, sorted by key — the deterministic iteration order
@@ -969,8 +850,9 @@ impl VerdictCache {
     }
 
     /// Installs a pair entry loaded from a persistent store, seeding the
-    /// liveness union with its fingerprints (the same contract as
-    /// [`VerdictCache::load_entries`]).
+    /// liveness union with its fingerprints — so a later pass over *any*
+    /// of the programs the entries came from answers warm instead of
+    /// sweeping the rest away first.
     pub(crate) fn absorb_pair_entry(&mut self, key: VerdictKey, entry: VerdictEntry) {
         self.session_live.extend([key.0, key.1]);
         self.verdicts.insert(key, entry);
@@ -1038,42 +920,35 @@ pub struct VerdictAudit {
     pub proofs: Vec<Vec<u8>>,
 }
 
-/// The `verdict_cache.v1` on-disk byte format: a magic header, the encoder
-/// revision, then the pair entries, then the triple entries, each section
-/// length-prefixed.
+/// The byte encoding of one verdict entry, the payload of every record of
+/// the sharded `verdict_cache.v2` store ([`crate::corpus`]).
 /// Every integer is little-endian; strings are UTF-8 with a `u32` length
 /// prefix; string sets are a `u32` count followed by the strings in set
 /// order. No external dependency — the format is a few dozen lines of
-/// plain byte plumbing. The sharded `verdict_cache.v2` store
-/// ([`crate::corpus`]) reuses these primitives for its per-record
-/// payloads, so one entry encoding serves both formats.
+/// plain byte plumbing.
 pub(crate) mod persist {
     use std::collections::BTreeSet;
     use std::io;
 
     use crate::detect::{AccessPair, AnomalyKind};
 
-    /// Magic + version header (`v1`).
-    pub(crate) const MAGIC: &[u8; 8] = b"ATRVC\x01\0\0";
-
-    /// Revision of the *encoder* that produced the file, written right
-    /// after the magic. The format version (`v1`, in the magic) names the
-    /// byte layout; the encoder revision names the semantics of what the
+    /// Revision of the *encoder* that produced a shard, written right
+    /// after its magic. The format version (in the magic) names the byte
+    /// layout; the encoder revision names the semantics of what the
     /// verdicts *mean* — bump it whenever the fingerprint function, the
-    /// violation templates, or the anomaly vocabulary changes, so a cache
-    /// persisted by an older build is refused instead of silently trusted
-    /// (stale verdicts would bypass re-detection — unless the record
-    /// carries proof certificates that still check, in which case the
-    /// sharded store salvages it; see `corpus::read_shard`). The value is
-    /// high-entropy on purpose: pre-revision files carry a small entry
-    /// count in these bytes, which can never collide with it.
+    /// violation templates, the anomaly vocabulary, or the entry's
+    /// meaning changes, so a store written by an older build is not
+    /// silently trusted (stale verdicts would bypass re-detection — unless
+    /// the record carries proof certificates that still check, in which
+    /// case the store salvages it; see `corpus::read_shard`).
     ///
     /// `0xA750_0002`: verdict entries gained an embedded proof-blob
-    /// section.
-    pub(crate) const ENCODER_REVISION: u32 = 0xA750_0002;
+    /// section. `0xA750_0003`: entries name commands by position within
+    /// their transaction instead of by label.
+    pub(crate) const ENCODER_REVISION: u32 = 0xA750_0003;
 
     pub(crate) fn bad(msg: &str) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, format!("verdict_cache.v1: {msg}"))
+        io::Error::new(io::ErrorKind::InvalidData, format!("verdict_cache.v2: {msg}"))
     }
 
     pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -1135,8 +1010,8 @@ pub(crate) mod persist {
             let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
             let Some(end) = end else {
                 return Err(bad(&format!(
-                    "truncated: need {n} more bytes at offset {}, file ends after {} \
-                     (clean EOF inside a length-prefixed record)",
+                    "truncated: need {n} more bytes at offset {}, record ends after {} \
+                     (clean EOF inside a length-prefixed field)",
                     self.pos,
                     self.bytes.len()
                 )));
@@ -1144,30 +1019,6 @@ pub(crate) mod persist {
             let s = &self.bytes[self.pos..end];
             self.pos = end;
             Ok(s)
-        }
-
-        pub(crate) fn expect_magic(&mut self) -> io::Result<()> {
-            // An empty file is the common crash-before-first-write case;
-            // name it instead of reporting a generic truncation.
-            if self.bytes.is_empty() {
-                return Err(bad("empty file (zero bytes; was the cache ever written?)"));
-            }
-            if self.take(MAGIC.len())? != MAGIC {
-                return Err(bad("bad magic (not a verdict cache, or a future version)"));
-            }
-            Ok(())
-        }
-
-        pub(crate) fn expect_revision(&mut self) -> io::Result<()> {
-            let got = self.u32()?;
-            if got != ENCODER_REVISION {
-                return Err(bad(&format!(
-                    "encoder revision mismatch: file was written by encoder {got:#010x}, \
-                     this build expects {ENCODER_REVISION:#010x} — the cached verdicts may \
-                     not mean what this build thinks; delete the cache file and regenerate it"
-                )));
-            }
-            Ok(())
         }
 
         pub(crate) fn u8(&mut self) -> io::Result<u8> {
@@ -1273,78 +1124,67 @@ mod tests {
         assert_ne!(txn_fingerprint(&a[0]), txn_fingerprint(&scanned[0]));
     }
 
+    /// Warm detection of `program` through `cache`: the verdicts, the
+    /// queries the pass issued, and the cache counters it moved.
+    fn warm(program: &Program, level: ConsistencyLevel, cache: &mut VerdictCache) -> (Vec<AccessPair>, u64, CacheStats) {
+        let before = cache.stats();
+        let (verdicts, stats) = crate::detect_anomalies_cached(program, level, cache);
+        (verdicts, stats.queries, cache.stats().since(&before))
+    }
+
+    /// Cached verdicts name commands by position, so successive pure
+    /// relabelings (`R → R2`, then `R2 → R3`) are answered warm in the
+    /// labels of whichever program asks — equal to a cold oracle, without
+    /// a single query.
     #[test]
     fn renames_apply_to_cached_pairs_and_compose() {
-        let ts = summaries(COUNTER);
-        let (fp, t) = (txn_fingerprint(&ts[0]), &ts[0]);
+        let ec = ConsistencyLevel::EventualConsistency;
         let mut cache = VerdictCache::new();
-        let pair = AccessPair {
-            cmd1: "R".into(),
-            fields1: BTreeSet::from(["v".to_owned()]),
-            cmd2: "W".into(),
-            fields2: BTreeSet::from(["v".to_owned()]),
-            txn1: t.name.clone(),
-            txn2: t.name.clone(),
-            witnesses: BTreeSet::new(),
-            kind: crate::AnomalyKind::LostUpdate,
-        };
-        cache.insert(fp, fp, true, ConsistencyLevel::EventualConsistency, t, t, vec![pair], vec![]);
-        cache.record_renames(&BTreeMap::from([("R".to_owned(), "R2".to_owned())]));
-        cache.record_renames(&BTreeMap::from([("R2".to_owned(), "R3".to_owned())]));
-        let got = cache
-            .lookup(fp, fp, true, ConsistencyLevel::EventualConsistency)
-            .unwrap();
+        crate::detect_anomalies_cached(&parse(COUNTER).unwrap(), ec, &mut cache);
+        for label in ["@R2", "@R3"] {
+            let p = parse(&COUNTER.replace("@R", label)).unwrap();
+            let (got, queries, delta) = warm(&p, ec, &mut cache);
+            assert_eq!((queries, delta.hits, delta.misses), (0, 1, 0), "{label}");
+            assert_eq!(got, crate::detect_anomalies(&p, ec), "{label}");
+        }
+        let p = parse(&COUNTER.replace("@R", "@R3")).unwrap();
+        let (got, _, _) = warm(&p, ec, &mut cache);
         assert_eq!(got[0].cmd1.0, "R3");
         assert_eq!(got[0].cmd2.0, "W");
-        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
     fn a_swap_batch_renames_simultaneously() {
-        // One step that exchanges two summary-identical commands' labels
-        // reports {R → W, W → R}; sequential application would corrupt it.
-        let ts = summaries(COUNTER);
-        let (fp, t) = (txn_fingerprint(&ts[0]), &ts[0]);
+        // Exchanging two commands' labels in one step: a positional entry
+        // answers the swapped program in its own labels and orientation.
+        let ec = ConsistencyLevel::EventualConsistency;
         let mut cache = VerdictCache::new();
-        let pair = AccessPair {
-            cmd1: "R".into(),
-            fields1: BTreeSet::new(),
-            cmd2: "W".into(),
-            fields2: BTreeSet::new(),
-            txn1: t.name.clone(),
-            txn2: t.name.clone(),
-            witnesses: BTreeSet::new(),
-            kind: crate::AnomalyKind::LostUpdate,
-        };
-        cache.insert(fp, fp, true, ConsistencyLevel::EventualConsistency, t, t, vec![pair], vec![]);
-        cache.record_renames(&BTreeMap::from([
-            ("R".to_owned(), "W".to_owned()),
-            ("W".to_owned(), "R".to_owned()),
-        ]));
-        let got = cache
-            .lookup(fp, fp, true, ConsistencyLevel::EventualConsistency)
-            .unwrap();
-        assert_eq!(got[0].cmd1.0, "W");
-        assert_eq!(got[0].cmd2.0, "R");
+        crate::detect_anomalies_cached(&parse(COUNTER).unwrap(), ec, &mut cache);
+        let swapped = COUNTER.replace("@R", "@T").replace("@W", "@R").replace("@T", "@W");
+        let p = parse(&swapped).unwrap();
+        let (got, queries, delta) = warm(&p, ec, &mut cache);
+        assert_eq!((queries, delta.misses), (0, 0));
+        assert_eq!(got, crate::detect_anomalies(&p, ec));
+        // The select now carries `W`, the update `R`.
+        assert_eq!(got[0].cmd1.0, "R");
+        assert_eq!(got[0].cmd2.0, "W");
     }
 
     #[test]
     fn renames_reach_retained_pair_models() {
-        // A retained state re-analysed after a pure relabeling must emit
-        // the *current* labels, not the ones it was grounded with.
-        let ts = summaries(COUNTER);
-        let (fp, t) = (txn_fingerprint(&ts[0]), &ts[0]);
+        // A retained state re-analysed after a pure relabeling (another
+        // level: the verdict misses, the solver is reused) must emit the
+        // *current* labels, not the ones it was grounded with.
         let mut cache = VerdictCache::new();
-        cache.states().store((fp, fp), PairState::new(t, t));
-        cache.record_renames(&BTreeMap::from([("R".to_owned(), "R9".to_owned())]));
-        let state = cache.states().take((fp, fp)).expect("retained");
-        let labels: Vec<&str> = state
-            .model
-            .cmds
-            .iter()
-            .map(|c| c.summary.label.0.as_str())
-            .collect();
-        assert_eq!(labels, vec!["R9", "W", "R9", "W"]);
+        let p = parse(COUNTER).unwrap();
+        crate::detect_anomalies_cached(&p, ConsistencyLevel::EventualConsistency, &mut cache);
+        let relabeled = parse(&COUNTER.replace("@R", "@R9")).unwrap();
+        let cc = ConsistencyLevel::CausalConsistency;
+        let (got, _, delta) = warm(&relabeled, cc, &mut cache);
+        assert_eq!(delta.solver_reuses, 1, "{delta:?}");
+        assert_eq!(got, crate::detect_anomalies(&relabeled, cc));
+        assert!(!got.is_empty());
+        assert!(got.iter().all(|a| a.cmd1.0 != "R" && a.cmd2.0 != "R"), "{got:?}");
     }
 
     /// Satellite regression for multi-run cache lifetimes: a detection pass
@@ -1429,16 +1269,16 @@ mod tests {
         let mut cache = VerdictCache::new();
         let ts = summaries(COUNTER);
         let fp = txn_fingerprint(&ts[0]);
-        cache.lookup(fp, fp, true, ConsistencyLevel::EventualConsistency);
+        cache.lookup((fp, fp, true, ConsistencyLevel::EventualConsistency), &ts);
         assert!(cache.stats().lookups > 0);
         assert_eq!(cache.stats().cross_run_hit_ratio(), 0.0);
         assert!(format!("{:.2}", cache.stats().cross_run_hit_ratio()) == "0.00");
     }
 
-    /// Satellite regression: the precise invalidation keeps entries whose
-    /// fingerprints survived the edit (a pure relabeling), evicts entries
-    /// whose fingerprints changed, and composes with the rename map so a
-    /// warm re-detection equals a cold oracle without re-solving.
+    /// The precise invalidation keeps entries whose fingerprints survived
+    /// the edit (a pure relabeling), evicts entries whose fingerprints
+    /// changed, and the kept entries answer in the new labels, so a warm
+    /// re-detection equals a cold oracle without re-solving.
     #[test]
     fn precise_invalidation_keeps_rename_only_entries() {
         use crate::detect_anomalies_cached;
@@ -1451,12 +1291,8 @@ mod tests {
         assert!(!cold.is_empty());
         assert_eq!(cache.len(), 1, "the one ordered self-pair cached");
 
-        // A rename-only step: the rule reports the relabeling and names the
-        // txn dirty, but no fingerprint changed — nothing may be evicted.
-        cache.record_renames(&BTreeMap::from([
-            ("R".to_owned(), "Rx".to_owned()),
-            ("W".to_owned(), "Wx".to_owned()),
-        ]));
+        // A rename-only step names the txn dirty, but no fingerprint
+        // changed — nothing may be evicted.
         let dirty = BTreeSet::from(["bump".to_owned()]);
         assert_eq!(cache.invalidate_txns_changed(&dirty, &renamed), 0);
         assert_eq!(cache.len(), 1, "rename-only edit evicted warm entries");
@@ -1483,15 +1319,14 @@ mod tests {
         let ts = summaries(COUNTER);
         let (fp, t) = (txn_fingerprint(&ts[0]), &ts[0]);
         let mut cache = VerdictCache::new();
-        cache.insert(fp, fp, true, ConsistencyLevel::EventualConsistency, t, t, vec![], vec![]);
+        let key = (fp, fp, true, ConsistencyLevel::EventualConsistency);
+        cache.insert(key, [&t.name, &t.name], vec![], vec![]);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.invalidate_txns(&BTreeSet::from(["other".to_owned()])), 0);
         assert_eq!(cache.invalidate_txns(&BTreeSet::from(["bump".to_owned()])), 1);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().invalidated, 1);
-        assert!(cache
-            .lookup(fp, fp, true, ConsistencyLevel::EventualConsistency)
-            .is_none());
+        assert!(cache.lookup(key, &ts).is_none());
     }
 
     /// The 3-hop relay chain (the `Relay` workload's shape), used by the
@@ -1525,7 +1360,8 @@ mod tests {
         let key = (fps[0].0, fps[1].0, fps[2].0, ConsistencyLevel::EventualConsistency);
         for victim in ["post", "relay", "timeline"] {
             let mut cache = VerdictCache::new();
-            cache.insert_triple(key, [fps[0].1, fps[1].1, fps[2].1], vec![], vec![]);
+            let names = [&fps[0].1.name, &fps[1].1.name, &fps[2].1.name].map(String::as_str);
+            cache.insert_triple(key, names, vec![], vec![]);
             assert_eq!(cache.triple_len(), 1);
             assert_eq!(cache.invalidate_txns(&BTreeSet::from(["other".to_owned()])), 0);
             assert_eq!(
@@ -1534,7 +1370,7 @@ mod tests {
                 "stale triple verdict survived invalidating `{victim}`"
             );
             assert_eq!(cache.triple_len(), 0);
-            assert!(cache.lookup_triple(key).is_none());
+            assert!(cache.lookup_triple(key, &ts).is_none());
         }
     }
 
@@ -1544,8 +1380,13 @@ mod tests {
     /// would silently replay pre-edit verdicts).
     #[test]
     fn chain_rule_edit_evicts_stale_triple_verdicts() {
-        use crate::engine::{detect_with_cache, DetectMode};
+        use crate::engine::{DetectMode, DetectionEngine};
         let ec = ConsistencyLevel::EventualConsistency;
+        let triples = |p: &Program, cache: &mut VerdictCache| {
+            let engine = DetectionEngine::serial().with_learnt_pool(false);
+            let marked = BTreeSet::new();
+            engine.detect_in(p, ec, DetectMode::Triples, &marked, cache, &mut Vec::new())
+        };
         let before = parse(CHAIN).unwrap();
         // The relay materialization's output shape: the derived field lives
         // on the origin row, written and read under `.T` labels.
@@ -1569,7 +1410,7 @@ mod tests {
         .unwrap();
 
         let mut cache = VerdictCache::new();
-        let (dirty, _) = detect_with_cache(1, &before, ec, DetectMode::Triples, &mut cache, None, None, false);
+        let (dirty, _) = triples(&before, &mut cache);
         assert_eq!(dirty.len(), 1, "{dirty:?}");
         assert!(cache.triple_len() > 0);
 
@@ -1577,9 +1418,8 @@ mod tests {
         assert!(cache.invalidate_txns(&edited) > 0);
         assert_eq!(cache.triple_len(), 0, "stale triple verdicts survived the edit");
 
-        let (warm, _) = detect_with_cache(1, &after, ec, DetectMode::Triples, &mut cache, None, None, false);
-        let (cold, _) =
-            detect_with_cache(1, &after, ec, DetectMode::Triples, &mut VerdictCache::new(), None, None, false);
+        let (warm, _) = triples(&after, &mut cache);
+        let (cold, _) = triples(&after, &mut VerdictCache::new());
         assert_eq!(warm, cold, "invalidated cache must agree with a cold oracle");
         assert!(warm.is_empty(), "{warm:?}");
     }

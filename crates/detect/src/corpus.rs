@@ -1,19 +1,17 @@
 //! Fleet-scale detection: the sharded `verdict_cache.v2` store and the
-//! batch corpus service (ROADMAP item 2).
+//! batch corpus service.
 //!
 //! # The v2 store
 //!
-//! The monolithic `verdict_cache.v1` file is a load-all/save-all snapshot:
-//! two sessions pointed at the same path clobber each other (last writer
-//! wins), and a crash mid-save leaves the truncated file `load_from`
-//! rejects. [`CorpusStore`] replaces it with a **directory** of
-//! [`SHARD_COUNT`] shard files keyed by fingerprint prefix (the high
-//! nibble of the entry's first canonical fingerprint picks the shard):
+//! [`CorpusStore`] is the one on-disk format of the verdict cache: a
+//! **directory** of [`SHARD_COUNT`] shard files keyed by fingerprint
+//! prefix (the high nibble of the entry's first canonical fingerprint
+//! picks the shard):
 //!
 //! * every shard is a record log — a magic/revision header followed by
 //!   length-prefixed records, each carrying an FNV-1a checksum, a
 //!   coarse unix-seconds stamp (the eviction clock), and one pair or
-//!   triple verdict entry in the v1 entry encoding;
+//!   triple verdict entry in the `cache::persist` entry encoding;
 //! * shards are written via sibling tempfile + atomic rename, so a crash
 //!   at any point leaves either the old shard or the new one — never a
 //!   truncated hybrid;
@@ -27,28 +25,25 @@
 //!   oldest-stamped entries go first).
 //!
 //! [`crate::DetectSession::save_to`] and
-//! [`crate::DetectSession::load_from`] dispatch on the path: a directory
-//! is a v2 store (save = union-merge), a file is the v1 format
-//! (unchanged, now written atomically). [`CorpusStore::open`] pointed at
-//! an existing v1 *file* transparently migrates it into a store
-//! directory at the same path.
+//! [`crate::DetectSession::load_from`] always mean a store directory. A
+//! path that is a regular file — such as a cache written in the retired
+//! monolithic `verdict_cache.v1` format — is refused with `InvalidData`.
 //!
 //! # The corpus service
 //!
 //! The paper's detection phase is embarrassingly fingerprint-dedupable
-//! across programs: millions of users ship near-identical transaction
-//! shapes, so a corpus is mostly repeated fingerprints. [`CorpusService`]
-//! (and the underlying [`analyse_corpus`]) exploit this with a **global
-//! plan**: summarize and fingerprint every program, dedup the dirty
-//! pair/triple keys across the whole corpus, solve each unique key
-//! exactly once on one shared [`crate::DetectionEngine`] worker pool,
-//! then answer every program's verdicts from the warm store. Per-program
-//! verdicts are byte-identical to running each program through
-//! [`crate::detect_anomalies_cached`] in isolation (pinned by
-//! `tests/corpus_differential.rs` at 1/2/8 threads) — the service only
-//! changes how often the solver runs, never what it concludes.
+//! across programs: a fleet ships near-identical transaction shapes, so a
+//! corpus is mostly repeated fingerprints. [`analyse_corpus`] (and the
+//! [`CorpusService`] around it) runs the engine's one detection pass over
+//! the whole corpus: every program's slots are planned against the shared
+//! session, each distinct dirty key is solved exactly once on one worker
+//! pool, and every program reads its verdicts back in its own labels.
+//! Per-program verdicts are byte-identical to detecting each program in
+//! isolation (pinned by `tests/corpus_differential.rs` at 1/2/8 threads)
+//! — the corpus pass only changes how often the solver runs, never what
+//! it concludes.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -57,20 +52,12 @@ use std::time::{Duration, Instant, SystemTime};
 
 use atropos_dsl::Program;
 
-use crate::cache::{
-    persist, txn_fingerprint, PairState, TripleEntry, TripleVerdictKey, VerdictCache,
-    VerdictEntry, VerdictKey,
-};
-use crate::detect::{solve_pair_with_state, AccessPair, DetectStats};
+use crate::cache::persist::{self, bad};
+use crate::cache::{TripleEntry, TripleVerdictKey, VerdictCache, VerdictEntry, VerdictKey};
+use crate::detect::{AccessPair, DetectStats};
 use crate::encode::ConsistencyLevel;
-use crate::engine::{
-    canonical_trio, detect_with_cache, merge_outcome_stats, publish_pair_state,
-    publish_trio_state, publishable_flags, run_pool, DetectMode, DetectionEngine, Outcome,
-    WorkerStats,
-};
-use crate::model::{summarize_program, TxnSummary};
+use crate::engine::{DetectMode, DetectionEngine};
 use crate::session::DetectSession;
-use crate::triple::{has_candidates, solve_triple_with_state, TripleState};
 
 /// Number of shard files a v2 store spreads its entries over. An entry's
 /// shard is the high nibble of its first canonical fingerprint, so the
@@ -86,10 +73,6 @@ const LOCK_TIMEOUT: Duration = Duration::from_secs(10);
 /// Age after which a lock file is presumed abandoned (a crashed holder)
 /// and taken over.
 const LOCK_STALE_AFTER: Duration = Duration::from_secs(30);
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("verdict_cache.v2: {msg}"))
-}
 
 /// FNV-1a 64-bit over `bytes`: the per-record checksum. Chosen over the
 /// std hasher because its value is pinned by the algorithm, not by the
@@ -120,7 +103,7 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// never a truncation. The temp name carries the pid and a process-local
 /// sequence number, so concurrent writers in one or many processes never
 /// collide on it.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = tmp_sibling(path);
     if let Err(e) = fs::write(&tmp, bytes) {
         let _ = fs::remove_file(&tmp);
@@ -339,52 +322,30 @@ pub struct CompactionReport {
 
 /// A sharded, concurrently mergeable on-disk verdict store — the
 /// `verdict_cache.v2` format (see the [module docs](self) for the
-/// layout, locking, and migration story).
+/// layout and locking story).
 pub struct CorpusStore {
     dir: PathBuf,
 }
 
 impl CorpusStore {
-    /// Opens (creating if necessary) the store directory at `path`. If
-    /// `path` is an existing **v1 cache file**, it is transparently
-    /// migrated: the v1 entries are re-written as a store directory at
-    /// the same path (staged at a sibling, so a crash mid-migration
-    /// cannot destroy the original until the store is complete).
+    /// Opens (creating if necessary) the store directory at `path`.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; a v1 file that fails to parse (corrupt,
-    /// stale encoder revision) fails the migration with its original
-    /// error.
+    /// Propagates I/O errors; a `path` that is a regular file is refused
+    /// with `InvalidData` — a store is always a directory, and a file is
+    /// most likely a cache in the retired monolithic `verdict_cache.v1`
+    /// format, which this build no longer reads.
     pub fn open(path: impl AsRef<Path>) -> io::Result<CorpusStore> {
         let path = path.as_ref();
         if path.is_file() {
-            return Self::migrate_v1(path);
+            return Err(bad(&format!(
+                "{} is a file, not a store directory (the monolithic verdict_cache.v1 \
+                 format is retired; delete the file and let the store regenerate)",
+                path.display()
+            )));
         }
         fs::create_dir_all(path)?;
-        Ok(CorpusStore {
-            dir: path.to_path_buf(),
-        })
-    }
-
-    /// Migrates a monolithic v1 cache file into a v2 store directory at
-    /// the same path.
-    fn migrate_v1(path: &Path) -> io::Result<CorpusStore> {
-        let bytes = fs::read(path)?;
-        let cache = VerdictCache::load_entries(&bytes)?;
-        let staged = path.with_extension("v2migrate");
-        if staged.exists() {
-            fs::remove_dir_all(&staged)?;
-        }
-        fs::create_dir_all(&staged)?;
-        let store = CorpusStore { dir: staged.clone() };
-        store.merge_cache_stamped(&cache, now_secs())?;
-        // The one non-atomic instant of the migration: the v1 file must
-        // vacate the path before the finished store directory renames
-        // over it. A crash between the two calls leaves the complete
-        // store at the staged sibling; re-opening re-runs the migration.
-        fs::remove_file(path)?;
-        fs::rename(&staged, path)?;
         Ok(CorpusStore {
             dir: path.to_path_buf(),
         })
@@ -578,8 +539,7 @@ impl CorpusStore {
     }
 
     /// Loads every shard into a fresh [`VerdictCache`]: entries land in
-    /// run 0 (warm for every following run) and seed the liveness union,
-    /// exactly like a v1 load.
+    /// run 0 (warm for every following run) and seed the liveness union.
     ///
     /// # Errors
     ///
@@ -675,8 +635,9 @@ impl CorpusStore {
     }
 }
 
-/// Aggregate statistics of one [`analyse_corpus`] pass: how much solver
-/// work the corpus-wide fingerprint dedup avoided.
+/// Aggregate statistics of one detection pass over a corpus
+/// ([`analyse_corpus`]; a single program is a corpus of one): how much
+/// solver work the corpus-wide fingerprint dedup avoided.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CorpusStats {
     /// Programs analysed.
@@ -692,9 +653,9 @@ pub struct CorpusStats {
     pub triple_slots: u64,
     /// Unique dirty triple keys actually solved.
     pub unique_triples: u64,
-    /// Solver-side statistics of the global solve phase.
+    /// Solver work of the whole pass (every counter but the slot counts).
     pub solve: DetectStats,
-    /// Wall-clock seconds of the whole pass (plan + solve + answer).
+    /// Wall-clock seconds of the whole pass (plan + solve + merge).
     pub seconds: f64,
 }
 
@@ -704,39 +665,25 @@ pub struct CorpusVerdict {
     /// The program's corpus name (its file stem, for ingested
     /// directories).
     pub name: String,
-    /// The anomaly verdicts — byte-identical to an isolated
-    /// [`crate::detect_anomalies_cached`] run over the same program.
+    /// The anomaly verdicts — byte-identical to an isolated detection run
+    /// over the same program.
     pub verdicts: Vec<AccessPair>,
-    /// The answering pass's statistics (all warm: zero queries).
+    /// The program's slot counts (`pairs`, `triples`). Solver work is
+    /// shared across the corpus and reported once, in
+    /// [`CorpusStats::solve`], so the solver counters here are zero.
     pub stats: DetectStats,
 }
 
-/// One globally planned dirty pair of the corpus work list.
-struct CorpusPairMiss {
-    prog: usize,
-    i: usize,
-    j: usize,
-    symmetric: bool,
-}
-
-/// One globally planned dirty triple of the corpus work list, in
-/// canonical orientation.
-struct CorpusTrioMiss {
-    prog: usize,
-    idx: [usize; 3],
-    key: TripleVerdictKey,
-}
-
-/// Analyses a whole corpus of programs against one shared session:
-/// fingerprint-dedups the dirty pair/triple keys **across the corpus**,
-/// solves each unique key once on `engine`'s worker pool (merged in plan
-/// order — deterministic at any thread count), and answers every
-/// program's verdicts from the warm store.
+/// Analyses a whole corpus of programs against one shared session — the
+/// engine's one detection pass, planned over every program at once: dirty
+/// pair/triple keys are deduplicated **across the corpus**, each is solved
+/// once on `engine`'s worker pool (merged in plan order — deterministic at
+/// any thread count), and every program reads its verdicts back in its own
+/// command labels.
 ///
-/// Per-program verdicts are byte-identical to running each program
-/// through [`crate::detect_anomalies_cached`] (or, in triple mode, the
-/// engine) in isolation; the corpus pass only changes how often the
-/// solver runs.
+/// Per-program verdicts are byte-identical to running each program through
+/// [`DetectionEngine::detect_with_mode`] in isolation; the corpus pass only
+/// changes how often the solver runs.
 pub fn analyse_corpus(
     engine: &DetectionEngine,
     programs: &[(String, Program)],
@@ -744,254 +691,18 @@ pub fn analyse_corpus(
     mode: DetectMode,
     session: &mut DetectSession,
 ) -> (Vec<CorpusVerdict>, CorpusStats) {
-    let started = Instant::now();
-    let threads = engine.threads();
-    let pool = engine.learnt_pool();
-    let proofs = engine.proofs_enabled();
     let (cache, per_worker) = session.cache_and_workers();
-    let mut stats = CorpusStats {
-        programs: programs.len(),
-        ..CorpusStats::default()
-    };
-
-    // Plan (serial): summarize and fingerprint everything, fold the whole
-    // corpus into the liveness union *first* (so no program's pass sweeps
-    // another's entries), then dedup dirty keys corpus-wide.
-    let sums: Vec<Vec<TxnSummary>> = programs.iter().map(|(_, p)| summarize_program(p)).collect();
-    let fps: Vec<Vec<u64>> = sums
-        .iter()
-        .map(|s| s.iter().map(txn_fingerprint).collect())
-        .collect();
-    let all_fps: Vec<u64> = fps.iter().flatten().copied().collect();
-    cache.sweep_live(&all_fps);
-
-    let mut planned: HashSet<VerdictKey> = HashSet::new();
-    let mut misses: Vec<CorpusPairMiss> = Vec::new();
-    for (prog, pfps) in fps.iter().enumerate() {
-        let n = pfps.len();
-        for i in 0..n {
-            for j in 0..n {
-                stats.pair_slots += 1;
-                let symmetric = i <= j;
-                let key = (pfps[i], pfps[j], symmetric, level);
-                if cache.contains_pair(&key) || !planned.insert(key) {
-                    continue;
-                }
-                misses.push(CorpusPairMiss {
-                    prog,
-                    i,
-                    j,
-                    symmetric,
-                });
-            }
-        }
-    }
-    stats.unique_pairs = misses.len() as u64;
-
-    let absorb = |pw: &mut Vec<WorkerStats>, ws: &[WorkerStats]| {
-        if pw.len() < ws.len() {
-            pw.resize(ws.len(), WorkerStats::default());
-        }
-        for (slot, w) in ws.iter().enumerate() {
-            pw[slot].absorb(w);
-        }
-    };
-
-    // Which misses may publish lemmas at the merge point (plan-time, so
-    // the pool's evolution is thread-count blind — see the engine).
-    let pair_publish: Vec<bool> = match pool {
-        Some(p) => {
-            let keys: Vec<(u64, u64)> = misses
-                .iter()
-                .map(|m| (fps[m.prog][m.i], fps[m.prog][m.j]))
-                .collect();
-            publishable_flags(
-                &keys,
-                |k| !cache.states().contains(k),
-                |k| !p.has_pair(k.0, k.1, level),
-            )
-        }
-        None => vec![false; misses.len()],
-    };
-
-    // Solve (parallel): each unique key exactly once, against the shared
-    // retained-state shards.
-    let (outcomes, worker_stats) = run_pool(threads, &misses, |m| {
-        let (t1, t2) = (&sums[m.prog][m.i], &sums[m.prog][m.j]);
-        let key = (fps[m.prog][m.i], fps[m.prog][m.j]);
-        let mut state = cache.states().take(key).unwrap_or_else(|| PairState::new(t1, t2));
-        let solver_reused = state.solver.is_some();
-        let seed = match state.solver {
-            Some(_) => None,
-            None => pool.and_then(|p| p.pair_seed(key.0, key.1, level)),
-        };
-        let (pairs, st, certs) = solve_pair_with_state(
-            t1,
-            t2,
-            m.symmetric,
-            level,
-            &mut state,
-            seed.as_deref().map(Vec::as_slice),
-            proofs,
-        );
-        cache.states().store(key, state);
-        Outcome {
-            pairs,
-            stats: st,
-            solver_reused,
-            proofs: certs,
-        }
-    });
-    absorb(per_worker, &worker_stats);
-
-    // Merge (serial, plan order) — same discipline as the engine, so the
-    // store's contents are thread-count blind.
-    for ((m, o), publish) in misses.iter().zip(outcomes).zip(&pair_publish) {
-        let o = o.expect("every corpus miss was solved");
-        cache.stats_mut().solver_reuses += u64::from(o.solver_reused);
-        cache.stats_mut().learnt_seeded += o.stats.learnt_seeded;
-        merge_outcome_stats(&mut stats.solve, &o);
-        if *publish {
-            publish_pair_state(cache, pool, fps[m.prog][m.i], fps[m.prog][m.j], level);
-        }
-        cache.insert(
-            fps[m.prog][m.i],
-            fps[m.prog][m.j],
-            m.symmetric,
-            level,
-            &sums[m.prog][m.i],
-            &sums[m.prog][m.j],
-            o.pairs,
-            o.proofs,
-        );
-    }
-
-    // The triple plan/solve/merge, same shape (canonical orientation,
-    // static prefilter settles template-free triples during planning).
-    if mode == DetectMode::Triples {
-        let mut planned_t: HashSet<TripleVerdictKey> = HashSet::new();
-        let mut trio_misses: Vec<CorpusTrioMiss> = Vec::new();
-        for (prog, pfps) in fps.iter().enumerate() {
-            let n = pfps.len();
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    for k in (j + 1)..n {
-                        stats.triple_slots += 1;
-                        let idx = canonical_trio([i, j, k], pfps);
-                        let key = (pfps[idx[0]], pfps[idx[1]], pfps[idx[2]], level);
-                        if cache.contains_triple(&key) || planned_t.contains(&key) {
-                            continue;
-                        }
-                        planned_t.insert(key);
-                        let ts = [
-                            &sums[prog][idx[0]],
-                            &sums[prog][idx[1]],
-                            &sums[prog][idx[2]],
-                        ];
-                        if has_candidates(ts, [pfps[idx[0]], pfps[idx[1]], pfps[idx[2]]]) {
-                            trio_misses.push(CorpusTrioMiss { prog, idx, key });
-                        } else {
-                            cache.insert_triple(key, ts, Vec::new(), Vec::new());
-                        }
-                    }
-                }
-            }
-        }
-        stats.unique_triples = trio_misses.len() as u64;
-
-        let trio_publish: Vec<bool> = match pool {
-            Some(p) => {
-                let keys: Vec<(u64, u64, u64)> = trio_misses
-                    .iter()
-                    .map(|m| (m.key.0, m.key.1, m.key.2))
-                    .collect();
-                publishable_flags(
-                    &keys,
-                    |k| !cache.triple_states().contains(k),
-                    |k| !p.has_triple(&(k.0, k.1, k.2, level)),
-                )
-            }
-            None => vec![false; trio_misses.len()],
-        };
-
-        let (trio_outcomes, trio_workers) = run_pool(threads, &trio_misses, |m| {
-            let ts = [
-                &sums[m.prog][m.idx[0]],
-                &sums[m.prog][m.idx[1]],
-                &sums[m.prog][m.idx[2]],
-            ];
-            let tfps = [
-                fps[m.prog][m.idx[0]],
-                fps[m.prog][m.idx[1]],
-                fps[m.prog][m.idx[2]],
-            ];
-            let key = (m.key.0, m.key.1, m.key.2);
-            let mut state = cache
-                .triple_states()
-                .take(key)
-                .unwrap_or_else(|| TripleState::new(ts));
-            let solver_reused = state.solver.is_some();
-            let seed = match state.solver {
-                Some(_) => None,
-                None => pool.and_then(|p| p.triple_seed(&m.key)),
-            };
-            let (pairs, st, certs) = solve_triple_with_state(
-                ts,
-                tfps,
-                level,
-                &mut state,
-                seed.as_deref().map(Vec::as_slice),
-                proofs,
-            );
-            cache.triple_states().store(key, state);
-            Outcome {
-                pairs,
-                stats: st,
-                solver_reused,
-                proofs: certs,
-            }
-        });
-        absorb(per_worker, &trio_workers);
-
-        for ((m, o), publish) in trio_misses.iter().zip(trio_outcomes).zip(&trio_publish) {
-            let o = o.expect("every corpus triple miss was solved");
-            cache.stats_mut().solver_reuses += u64::from(o.solver_reused);
-            cache.stats_mut().learnt_seeded += o.stats.learnt_seeded;
-            merge_outcome_stats(&mut stats.solve, &o);
-            if *publish {
-                publish_trio_state(cache, pool, m.key);
-            }
-            cache.insert_triple(
-                m.key,
-                [
-                    &sums[m.prog][m.idx[0]],
-                    &sums[m.prog][m.idx[1]],
-                    &sums[m.prog][m.idx[2]],
-                ],
-                o.pairs,
-                o.proofs,
-            );
-        }
-    }
-
-    // Answer (serial): every program replays entirely from the warm
-    // store — the exact per-program pass an isolated run would make, so
-    // verdicts (and their merge order) are byte-identical to isolation.
+    let refs: Vec<&Program> = programs.iter().map(|(_, p)| p).collect();
+    let (answers, stats) = engine.pass(&refs, level, mode, &BTreeSet::new(), cache, per_worker);
     let verdicts = programs
         .iter()
-        .map(|(name, program)| {
-            // All-warm by construction (zero queries), so no pool: nothing
-            // would be solved, seeded, or published here anyway.
-            let (v, st) = detect_with_cache(1, program, level, mode, cache, None, None, false);
-            CorpusVerdict {
-                name: name.clone(),
-                verdicts: v,
-                stats: st,
-            }
+        .zip(answers)
+        .map(|((name, _), (verdicts, stats))| CorpusVerdict {
+            name: name.clone(),
+            verdicts,
+            stats,
         })
         .collect();
-
-    stats.seconds = started.elapsed().as_secs_f64();
     (verdicts, stats)
 }
 
@@ -1200,9 +911,8 @@ mod tests {
             ConsistencyLevel::EventualConsistency,
             session.cache_mut(),
         );
-        let dir = std::env::temp_dir().join(format!(
-            "atropos_corpus_unit_{}_{}",
-            std::process::id(),
+        let dir = crate::test_scratch(&format!(
+            "corpus_unit_{}",
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let store = CorpusStore::open(&dir).expect("open");

@@ -18,9 +18,12 @@
 //! Queries are discharged incrementally: one [`PairSolver`] per
 //! transaction pair carries the ordering/visibility encoding across every
 //! pattern and consistency level, and each query travels as an assumption
-//! set. The fresh-solver reference path ([`detect_anomalies_fresh`]) and
-//! the CLOTHO-style differential runner ([`detect_differential`]) guard
-//! the equivalence of the two paths.
+//! set. Every production oracle here — [`detect_anomalies`] and its
+//! marked, instrumented, multi-level, cached and triple variants — is the
+//! [`DetectionEngine`]'s one detection pass at one worker. The only
+//! second path is the fresh-solver reference ([`detect_anomalies_fresh`])
+//! and the CLOTHO-style differential runner ([`detect_differential`]) that
+//! guards the equivalence of the two.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
@@ -31,6 +34,7 @@ use crate::cache::VerdictCache;
 use crate::encode::{
     fresh_query, ConsistencyLevel, InstanceModel, PairSolver, VisRequirement,
 };
+use crate::engine::{DetectMode, DetectionEngine};
 use crate::model::{summarize_program, CmdKind, TxnSummary};
 
 /// The anomaly template a pair was confirmed under.
@@ -60,7 +64,7 @@ pub enum AnomalyKind {
 }
 
 impl AnomalyKind {
-    /// Stable serialization tag (the `verdict_cache.v1` on-disk format).
+    /// Stable serialization tag (the `verdict_cache.v2` record payload).
     pub(crate) fn tag(self) -> u8 {
         match self {
             AnomalyKind::LostUpdate => 0,
@@ -139,6 +143,20 @@ pub struct DetectStats {
 }
 
 impl DetectStats {
+    /// Adds `other`'s solver work — every counter except the slot counts
+    /// (`pairs`, `triples`) and the wall clock.
+    pub(crate) fn add_solver_work(&mut self, other: &DetectStats) {
+        self.queries += other.queries;
+        self.sat_queries += other.sat_queries;
+        self.memo_hits += other.memo_hits;
+        self.clauses_encoded += other.clauses_encoded;
+        self.clauses_fresh_equivalent += other.clauses_fresh_equivalent;
+        self.conflicts += other.conflicts;
+        self.propagations += other.propagations;
+        self.decisions += other.decisions;
+        self.learnt_seeded += other.learnt_seeded;
+    }
+
     /// Fraction of the fresh-equivalent clause volume the run did *not*
     /// have to encode thanks to per-pair solver reuse (0 when nothing was
     /// saved, approaching 1 as reuse grows).
@@ -220,13 +238,7 @@ pub fn detect_anomalies_marked(
     level: ConsistencyLevel,
     serializable_txns: &BTreeSet<String>,
 ) -> Vec<AccessPair> {
-    let (mut by_level, _) = detect_core(
-        program,
-        &[level],
-        serializable_txns,
-        SolvePath::Incremental,
-        None,
-    );
+    let (mut by_level, _) = one_shot(program, &[level], DetectMode::Pairs, serializable_txns);
     by_level.remove(&level).unwrap_or_default()
 }
 
@@ -235,13 +247,7 @@ pub fn detect_anomalies_with_stats(
     program: &Program,
     level: ConsistencyLevel,
 ) -> (Vec<AccessPair>, DetectStats) {
-    let (mut by_level, stats) = detect_core(
-        program,
-        &[level],
-        &BTreeSet::new(),
-        SolvePath::Incremental,
-        None,
-    );
+    let (mut by_level, stats) = one_shot(program, &[level], DetectMode::Pairs, &BTreeSet::new());
     (by_level.remove(&level).unwrap_or_default(), stats)
 }
 
@@ -252,7 +258,34 @@ pub fn detect_anomalies_at_levels(
     program: &Program,
     levels: &[ConsistencyLevel],
 ) -> (BTreeMap<ConsistencyLevel, Vec<AccessPair>>, DetectStats) {
-    detect_core(program, levels, &BTreeSet::new(), SolvePath::Incremental, None)
+    one_shot(program, levels, DetectMode::Pairs, &BTreeSet::new())
+}
+
+/// The one-shot oracles: the engine at one worker against a throwaway
+/// cache, one pass per level. Retained pair solvers carry each pair's
+/// encoding from one level's pass to the next, and `stats.pairs` /
+/// `stats.triples` count the program's slots once, not once per level.
+fn one_shot(
+    program: &Program,
+    levels: &[ConsistencyLevel],
+    mode: DetectMode,
+    serializable_txns: &BTreeSet<String>,
+) -> (BTreeMap<ConsistencyLevel, Vec<AccessPair>>, DetectStats) {
+    let started = Instant::now();
+    let engine = DetectionEngine::serial().with_learnt_pool(false);
+    let mut cache = VerdictCache::new();
+    let mut stats = DetectStats::default();
+    let mut by_level = BTreeMap::new();
+    for &level in levels {
+        let (verdicts, pass) =
+            engine.detect_in(program, level, mode, serializable_txns, &mut cache, &mut Vec::new());
+        stats.pairs = pass.pairs;
+        stats.triples = pass.triples;
+        stats.add_solver_work(&pass);
+        by_level.insert(level, verdicts);
+    }
+    stats.seconds = started.elapsed().as_secs_f64();
+    (by_level, stats)
 }
 
 /// The reference implementation: identical templates, but every query goes
@@ -262,13 +295,7 @@ pub fn detect_anomalies_fresh(
     program: &Program,
     level: ConsistencyLevel,
 ) -> (Vec<AccessPair>, DetectStats) {
-    let (mut by_level, stats) = detect_core(
-        program,
-        &[level],
-        &BTreeSet::new(),
-        SolvePath::Fresh,
-        None,
-    );
+    let (mut by_level, stats) = detect_reference(program, &[level], None);
     (by_level.remove(&level).unwrap_or_default(), stats)
 }
 
@@ -293,13 +320,7 @@ pub fn detect_differential(
     levels: &[ConsistencyLevel],
 ) -> DifferentialReport {
     let mut mismatches = Vec::new();
-    let (by_level, stats) = detect_core(
-        program,
-        levels,
-        &BTreeSet::new(),
-        SolvePath::Differential,
-        Some(&mut mismatches),
-    );
+    let (by_level, stats) = detect_reference(program, levels, Some(&mut mismatches));
     DifferentialReport {
         by_level,
         stats,
@@ -309,8 +330,8 @@ pub fn detect_differential(
 
 /// One incremental pattern query against a (lazily created) [`PairSolver`]:
 /// the solver-creation and fresh-equivalent clause accounting shared by the
-/// one-shot oracle ([`detect_core`]) and the cached oracle
-/// ([`detect_anomalies_cached`]), so the two cannot drift apart.
+/// engine's per-pair solve ([`solve_pair_with_state`]) and the differential
+/// reference ([`detect_reference`]), so the two cannot drift apart.
 fn pair_query(
     solver: &mut Option<PairSolver>,
     model: &InstanceModel,
@@ -333,22 +354,13 @@ fn pair_query(
     r
 }
 
-/// How queries are discharged.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SolvePath {
-    /// One incremental solver per pair, queries via assumptions.
-    Incremental,
-    /// A fresh solver per query (the paper's Z3-per-query shape).
-    Fresh,
-    /// Both, with verdict comparison.
-    Differential,
-}
-
-fn detect_core(
+/// The serial, uncached reference oracle behind [`detect_anomalies_fresh`]
+/// and [`detect_differential`]: every query goes to a fresh solver, and
+/// with `mismatches` also to one incremental [`PairSolver`] per pair, any
+/// disagreement logged (the incremental verdict is then the one reported).
+fn detect_reference(
     program: &Program,
     levels: &[ConsistencyLevel],
-    serializable_txns: &BTreeSet<String>,
-    path: SolvePath,
     mut mismatches: Option<&mut Vec<String>>,
 ) -> (BTreeMap<ConsistencyLevel, Vec<AccessPair>>, DetectStats) {
     let started = Instant::now();
@@ -361,19 +373,10 @@ fn detect_core(
         for (j, t2) in summaries.iter().enumerate() {
             let model = InstanceModel::new(t1, t2);
             stats.pairs += 1;
-            // The incremental solver is shared across every level queried
-            // for this pair; built lazily so the fresh path never pays.
+            // The differential run's incremental solver is shared across
+            // every level queried for this pair.
             let mut pair_solver: Option<PairSolver> = None;
             for &level in levels {
-                // A pair is only analysed as serializable when *both*
-                // instances of the bounded execution coordinate.
-                let eff = if serializable_txns.contains(&t1.name)
-                    && serializable_txns.contains(&t2.name)
-                {
-                    ConsistencyLevel::Serializable
-                } else {
-                    level
-                };
                 // Memoize SAT calls on their requirement signature.
                 let mut memo: HashMap<Vec<VisRequirement>, bool> = HashMap::new();
                 let mut sat = |reqs: Vec<VisRequirement>| -> bool {
@@ -382,34 +385,35 @@ fn detect_core(
                         return r;
                     }
                     stats.queries += 1;
-                    let incremental = (path != SolvePath::Fresh)
-                        .then(|| {
-                            pair_query(&mut pair_solver, &model, eff, &reqs, &mut stats, None, false)
-                        });
-                    let fresh = if path != SolvePath::Incremental {
-                        let (r, s, clauses) = fresh_query(&model, eff, &reqs);
-                        if path == SolvePath::Fresh {
+                    let (fresh, s, clauses) = fresh_query(&model, level, &reqs);
+                    let r = match mismatches.as_deref_mut() {
+                        Some(log) => {
+                            let r = pair_query(
+                                &mut pair_solver,
+                                &model,
+                                level,
+                                &reqs,
+                                &mut stats,
+                                None,
+                                false,
+                            );
+                            if r != fresh {
+                                log.push(format!(
+                                    "{} × {} @ {level}: reqs {reqs:?}: incremental={r} fresh={fresh}",
+                                    t1.name, t2.name
+                                ));
+                            }
+                            r
+                        }
+                        None => {
                             stats.conflicts += s.conflicts;
                             stats.propagations += s.propagations;
                             stats.decisions += s.decisions;
                             stats.clauses_encoded += clauses as u64;
                             stats.clauses_fresh_equivalent += clauses as u64;
+                            fresh
                         }
-                        Some(r)
-                    } else {
-                        None
                     };
-                    if let (Some(a), Some(b)) = (incremental, fresh) {
-                        if a != b {
-                            if let Some(log) = mismatches.as_deref_mut() {
-                                log.push(format!(
-                                    "{} × {} @ {eff}: reqs {reqs:?}: incremental={a} fresh={b}",
-                                    t1.name, t2.name
-                                ));
-                            }
-                        }
-                    }
-                    let r = incremental.or(fresh).expect("some path ran");
                     if r {
                         stats.sat_queries += 1;
                     }
@@ -440,8 +444,8 @@ fn detect_core(
 /// result map, merging field sets and witnesses of duplicate keys exactly
 /// like repeated template hits within one pass would. Merge order is part
 /// of the oracle's observable behaviour (the first entry of a key provides
-/// its base orientation), so the parallel engine replays this fold in the
-/// serial pair order regardless of which worker finished first.
+/// its base orientation), so the engine replays this fold in the serial
+/// slot order regardless of which worker finished first.
 pub(crate) fn accumulate(
     per_level: &mut BTreeMap<(String, String, AnomalyKind), AccessPair>,
     pairs: Vec<AccessPair>,
@@ -461,9 +465,9 @@ pub(crate) fn accumulate(
 /// Detects every anomalous access pair of `program` under `level`,
 /// answering untouched transaction pairs from `cache` (and refreshing it
 /// with everything analysed) — the oracle the near-incremental repair
-/// driver calls after each refactoring step. This is the serial form; the
-/// [`crate::DetectionEngine`] runs the same pass (one shared
-/// implementation) with the dirty pairs fanned out over a worker pool.
+/// driver calls after each refactoring step, here on one worker; the
+/// [`crate::DetectionEngine`] runs the same pass with the dirty pairs
+/// fanned out over a worker pool.
 ///
 /// Equivalent to [`detect_anomalies`] on every input (the
 /// `repair_incremental_vs_scratch` differential suite pins this on all nine
@@ -473,20 +477,20 @@ pub(crate) fn accumulate(
 /// with its retained [`PairSolver`] if its fingerprints survived (e.g. the
 /// verdict entry was evicted or another level is being queried), or from
 /// scratch if not.
+///
+/// [`txn_fingerprint`]: crate::txn_fingerprint
 pub fn detect_anomalies_cached(
     program: &Program,
     level: ConsistencyLevel,
     cache: &mut VerdictCache,
 ) -> (Vec<AccessPair>, DetectStats) {
-    crate::engine::detect_with_cache(
-        1,
+    DetectionEngine::serial().with_learnt_pool(false).detect_in(
         program,
         level,
-        crate::DetectMode::Pairs,
+        DetectMode::Pairs,
+        &BTreeSet::new(),
         cache,
-        None,
-        None,
-        crate::engine::proofs_enabled_from_env(),
+        &mut Vec::new(),
     )
 }
 
@@ -529,24 +533,17 @@ pub fn detect_anomalies_triples(
     program: &Program,
     level: ConsistencyLevel,
 ) -> (Vec<AccessPair>, DetectStats) {
-    let mut cache = VerdictCache::new();
-    crate::engine::detect_with_cache(
-        1,
-        program,
-        level,
-        crate::DetectMode::Triples,
-        &mut cache,
-        None,
-        None,
-        crate::engine::proofs_enabled_from_env(),
-    )
+    let (mut by_level, stats) = one_shot(program, &[level], DetectMode::Triples, &BTreeSet::new());
+    (by_level.remove(&level).unwrap_or_default(), stats)
 }
 
 /// Analyses one dirty (cache-missed) ordered pair against its retained (or
-/// freshly grounded) [`crate::cache::PairState`], returning the raw
-/// verdicts and this pair's [`DetectStats`] delta. The single solving path
-/// shared by the serial cached oracle and every worker of the parallel
-/// [`crate::DetectionEngine`] — so the two cannot drift apart.
+/// freshly grounded) [`crate::cache::PairState`], returning the verdicts in
+/// the cache's positional form ([`crate::cache::to_positions`]), this
+/// pair's [`DetectStats`] delta, and the certificates of its UNSAT
+/// queries. Every label the templates emit comes from the state's own
+/// model, which may have been grounded by another program sharing the
+/// fingerprints, so positions are resolved against that model.
 pub(crate) fn solve_pair_with_state(
     t1: &TxnSummary,
     t2: &TxnSummary,
@@ -579,6 +576,17 @@ pub(crate) fn solve_pair_with_state(
         };
         analyse_pair(t1, t2, model, symmetric, &mut sat)
     };
+    let model = &state.model;
+    let names = [t1.name.as_str(), t2.name.as_str()];
+    let pairs = crate::cache::to_positions(pairs, |txn, label| {
+        (0..2)
+            .filter(|&k| names[k] == txn)
+            .flat_map(|k| &model.cmds[model.starts[k]..model.starts[k + 1]])
+            .find(|c| &c.summary.label == label)
+            .expect("verdict labels name commands of the solved pair")
+            .summary
+            .prog_index
+    });
     let mut certs = Vec::new();
     if let Some(ps) = &mut state.solver {
         // A retained solver's counters are cumulative across calls;
@@ -690,22 +698,24 @@ fn analyse_pair(
                 let reqs = vec![(a_w2, c1, false), (a_w1, c2, false)];
                 if sat(reqs) {
                     let fs = BTreeSet::from([f.clone()]);
+                    // Labels come from the model, like every other
+                    // template's, so one source names all of them.
                     out.push(make_pair(
                         t1,
-                        &t1.commands[r1],
+                        &model.cmds[c1].summary,
                         fs.clone(),
                         t2,
-                        &t2.commands[w2],
+                        &model.cmds[cw2].summary,
                         fs.clone(),
                         BTreeSet::new(),
                         AnomalyKind::LostUpdate,
                     ));
                     out.push(make_pair(
                         t2,
-                        &t2.commands[r2],
+                        &model.cmds[c2].summary,
                         fs.clone(),
                         t1,
-                        &t1.commands[w1],
+                        &model.cmds[cw1].summary,
                         fs,
                         BTreeSet::new(),
                         AnomalyKind::LostUpdate,

@@ -55,7 +55,7 @@ impl ConsistencyLevel {
     ];
 
     /// Dense index (position in [`ConsistencyLevel::ALL`]) — also the
-    /// stable serialization tag of the `verdict_cache.v1` format.
+    /// stable serialization tag of the `verdict_cache.v2` record payload.
     pub(crate) fn index(self) -> usize {
         match self {
             ConsistencyLevel::EventualConsistency => 0,

@@ -1,41 +1,45 @@
-//! The parallel detection engine: dirty-pair (and dirty-triple) solving
-//! fanned out over a worker pool, deterministically merged.
+//! The detection engine: the one plan → solve → merge pass behind every
+//! oracle of this crate, with dirty work fanned out over a worker pool and
+//! merged deterministically.
 //!
-//! The paper's detection formulation makes every transaction pair an
-//! independent satisfiability query, so the re-solved ("dirty") pairs of a
-//! cached detection pass are embarrassingly parallel — and the bounded
-//! triples of [`DetectMode::Triples`] are just as independent. A
-//! [`DetectionEngine`] owns the parallelism policy — a worker count from
-//! [`DetectionEngine::new`], the `ATROPOS_THREADS` environment variable,
+//! The paper's detection formulation makes every transaction pair (and
+//! every bounded triple of [`DetectMode::Triples`]) an independent
+//! satisfiability query, so one pass serves three callers alike: a single
+//! program ([`DetectionEngine::detect_with_mode`] — a corpus of one), the
+//! repair loop's re-detections, and a fleet of programs
+//! ([`crate::analyse_corpus`]). A [`DetectionEngine`] owns the parallelism
+//! policy — a worker count from [`DetectionEngine::new`], the
+//! `ATROPOS_THREADS` environment variable via [`DetectionEngine::from_env`],
 //! or the machine's available parallelism — and runs each pass in three
 //! phases:
 //!
-//! 1. **Plan** (serial): summarize the program, fingerprint every
-//!    transaction, sweep the cache's liveness union, and look every ordered
-//!    pair up in the verdict cache. Hits fill their result slots
-//!    immediately; misses form the dirty-pair work list. In triple mode the
-//!    same planning covers every unordered triple of distinct transactions:
-//!    hits replay, statically template-free triples cache an empty verdict
-//!    without ever grounding a model, and the remainder forms the
-//!    dirty-triple work list.
+//! 1. **Plan** (serial): summarize and fingerprint every program, sweep
+//!    the cache's liveness union once, and look every program's ordered
+//!    pairs up in the verdict cache — one counted lookup per slot. Hits
+//!    fill their slots immediately, already in the asking program's
+//!    labels; misses are deduplicated across all programs into one
+//!    dirty-pair work list. In triple mode the same planning covers every
+//!    unordered triple of distinct transactions: statically template-free
+//!    triples cache an empty verdict without ever grounding a model.
 //! 2. **Solve** (parallel): `std::thread::scope` workers drain each work
 //!    list through an atomic cursor. Each worker takes the item's retained
 //!    state ([`crate::cache::PairState`] / [`crate::triple::TripleState`])
 //!    from the sharded retention maps (states migrate freely between
-//!    workers — they are `Send`), solves with the exact same per-item
-//!    routine as the serial oracle, and returns the state to its shard.
-//! 3. **Merge** (serial, deterministic): verdicts are folded into the
-//!    result map and inserted into the cache **in the serial work order**,
-//!    not in completion order, so the engine's output — verdicts, the
-//!    entire [`DetectStats`] except wall-clock seconds, and every
-//!    downstream repair decision — is byte-identical at any thread count
-//!    (pinned by `tests/parallel_determinism.rs` and
-//!    `tests/triple_vs_pair.rs` on all nine workloads).
+//!    workers — they are `Send`), solves it, and returns the state to its
+//!    shard.
+//! 3. **Merge** (serial, deterministic): verdicts are inserted into the
+//!    cache **in plan order**, not in completion order; then every program
+//!    folds its own slots, translating positional verdicts into its own
+//!    labels. The output — verdicts, the whole [`DetectStats`] except
+//!    wall-clock seconds, and every downstream repair decision — is
+//!    byte-identical at any thread count (pinned by
+//!    `tests/parallel_determinism.rs`, `tests/triple_vs_pair.rs` and
+//!    `tests/corpus_differential.rs`).
 //!
-//! With one thread the scope is skipped and phase 2 runs inline: the
-//! serial cached oracle ([`crate::detect_anomalies_cached`]) is literally
-//! this engine at `threads = 1`, so the paths cannot drift apart.
+//! With one thread (or a batch too small to feed two) the scope is skipped
+//! and phase 2 runs inline.
 
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,9 +47,11 @@ use std::time::Instant;
 use atropos_dsl::Program;
 
 use crate::cache::{
-    txn_fingerprint, LearntPool, PairState, ShardedTripleMap, TripleVerdictKey, VerdictCache,
+    to_labels, to_positions, txn_fingerprint, LearntPool, PairState, TripleVerdictKey,
+    VerdictCache, VerdictKey,
 };
-use crate::detect::{accumulate, solve_pair_with_state, AccessPair, AnomalyKind, DetectStats};
+use crate::corpus::CorpusStats;
+use crate::detect::{accumulate, solve_pair_with_state, AccessPair, DetectStats};
 use crate::encode::ConsistencyLevel;
 use crate::model::{summarize_program, TxnSummary};
 use crate::session::DetectSession;
@@ -100,16 +106,17 @@ impl WorkerStats {
     }
 }
 
-/// Parallelism policy for cached detection passes, plus the engine-scoped
+/// Parallelism policy for detection passes, plus the engine-scoped
 /// [`LearntPool`]: lemmas published by the first solve of each canonical
 /// `(fingerprint, fingerprint, level)` key, seeded into every later solver
 /// built for the same key — across sessions sharing this engine (clones
 /// share the pool). Cheap to construct and `Clone`-light (a `usize` and an
 /// `Arc`); callers typically build **one engine per sweep** and share it —
 /// the per-run state (verdicts, retained solvers) lives in the
-/// [`DetectSession`], not here. The pool is on by default; set
-/// `ATROPOS_LEARNT_POOL=0` (or call
-/// [`DetectionEngine::with_learnt_pool`]`(false)`) to disable it.
+/// [`DetectSession`], not here. The caller owns the configuration: the
+/// pool is on and proof capture off unless
+/// [`DetectionEngine::with_learnt_pool`] / [`DetectionEngine::with_proofs`]
+/// say otherwise.
 ///
 /// # Examples
 ///
@@ -153,22 +160,22 @@ impl std::fmt::Debug for DetectionEngine {
 }
 
 impl DetectionEngine {
-    /// An engine solving dirty pairs on `threads` workers (clamped to at
-    /// least 1). Thread count never affects results, only wall-clock —
-    /// and neither does the learnt pool (enabled here unless
-    /// `ATROPOS_LEARNT_POOL` says otherwise): seeded lemmas change how
-    /// fast a verdict is reached, never which verdict.
+    /// An engine solving dirty work on `threads` workers (clamped to at
+    /// least 1), with the learnt pool on and proof capture off. Thread
+    /// count never affects results, only wall-clock — and neither does
+    /// the learnt pool: seeded lemmas change how fast a verdict is
+    /// reached, never which verdict.
     pub fn new(threads: usize) -> DetectionEngine {
         DetectionEngine {
             threads: threads.max(1),
-            pool: pool_enabled_from_env().then(|| Arc::new(LearntPool::new())),
-            proofs: proofs_enabled_from_env(),
+            pool: Some(Arc::new(LearntPool::new())),
+            proofs: false,
         }
     }
 
-    /// Enables or disables learnt-clause sharing on this engine,
-    /// overriding the `ATROPOS_LEARNT_POOL` default. Disabling drops any
-    /// published lemmas; enabling an already-enabled engine keeps them.
+    /// Enables or disables learnt-clause sharing on this engine (on by
+    /// default). Disabling drops any published lemmas; enabling an
+    /// already-enabled engine keeps them.
     pub fn with_learnt_pool(mut self, enabled: bool) -> DetectionEngine {
         if !enabled {
             self.pool = None;
@@ -178,12 +185,12 @@ impl DetectionEngine {
         self
     }
 
-    /// Enables or disables proof-certificate capture on this engine,
-    /// overriding the `ATROPOS_PROOFS` default (off). With proofs on,
-    /// every UNSAT query behind a verdict is logged and certified; the
-    /// blobs are stored alongside the verdict entries in the session's
-    /// cache (see [`VerdictCache::proof_blobs`]). Like the thread count
-    /// and the learnt pool, certificates never change verdicts.
+    /// Enables or disables proof-certificate capture on this engine (off
+    /// by default). With proofs on, every UNSAT query behind a verdict is
+    /// logged and certified; the blobs are stored alongside the verdict
+    /// entries in the session's cache (see [`VerdictCache::proof_blobs`]).
+    /// Like the thread count and the learnt pool, certificates never
+    /// change verdicts.
     pub fn with_proofs(mut self, enabled: bool) -> DetectionEngine {
         self.proofs = enabled;
         self
@@ -199,8 +206,7 @@ impl DetectionEngine {
         self.pool.as_deref()
     }
 
-    /// The strictly serial engine (`threads = 1`); what
-    /// [`crate::detect_anomalies_cached`] runs under the hood.
+    /// The strictly serial engine (`threads = 1`).
     pub fn serial() -> DetectionEngine {
         DetectionEngine::new(1)
     }
@@ -252,39 +258,307 @@ impl DetectionEngine {
         session: &mut DetectSession,
     ) -> (Vec<AccessPair>, DetectStats) {
         let (cache, per_worker) = session.cache_and_workers();
-        detect_with_cache(
-            self.threads,
-            program,
-            level,
-            mode,
-            cache,
-            Some(per_worker),
-            self.pool.as_deref(),
+        self.detect_in(program, level, mode, &BTreeSet::new(), cache, per_worker)
+    }
+
+    /// [`DetectionEngine::pass`] over a corpus of one, with the pass's
+    /// solver work folded into the program's statistics. Pairs of two
+    /// transactions both named in `serializable_txns` are analysed at
+    /// [`ConsistencyLevel::Serializable`].
+    pub(crate) fn detect_in(
+        &self,
+        program: &Program,
+        level: ConsistencyLevel,
+        mode: DetectMode,
+        serializable_txns: &BTreeSet<String>,
+        cache: &mut VerdictCache,
+        per_worker: &mut Vec<WorkerStats>,
+    ) -> (Vec<AccessPair>, DetectStats) {
+        let (mut answers, pass) =
+            self.pass(&[program], level, mode, serializable_txns, cache, per_worker);
+        let (verdicts, mut stats) = answers.pop().expect("one program in, one answer out");
+        stats.add_solver_work(&pass.solve);
+        stats.seconds = pass.seconds;
+        (verdicts, stats)
+    }
+
+    /// The one detection pass (see the module docs): plans every program's
+    /// pair slots (and, in triple mode, triple slots) against `cache`,
+    /// solves each distinct missing key once — pairs, then triples, one
+    /// worker-pool batch each — and merges in plan order. Returns each
+    /// program's verdicts with its slot counts (`pairs`, `triples`; no
+    /// solver work), plus the pass's aggregate statistics, whose `solve`
+    /// holds all the solver work.
+    pub(crate) fn pass(
+        &self,
+        programs: &[&Program],
+        level: ConsistencyLevel,
+        mode: DetectMode,
+        serializable_txns: &BTreeSet<String>,
+        cache: &mut VerdictCache,
+        per_worker: &mut Vec<WorkerStats>,
+    ) -> (Vec<(Vec<AccessPair>, DetectStats)>, CorpusStats) {
+        let started = Instant::now();
+        let sums: Vec<Vec<TxnSummary>> = programs.iter().map(|p| summarize_program(p)).collect();
+        let fps: Vec<Vec<u64>> = sums
+            .iter()
+            .map(|ts| ts.iter().map(txn_fingerprint).collect())
+            .collect();
+        // Fold every program into the liveness union *first*, so no
+        // program's entries are swept before its slots are planned.
+        cache.sweep_live(&fps.concat());
+        let mut stats = CorpusStats {
+            programs: programs.len(),
+            ..CorpusStats::default()
+        };
+        let mut counts = vec![DetectStats::default(); programs.len()];
+        let mut slots: Vec<Vec<Slot>> =
+            sums.iter().map(|ts| Vec::with_capacity(ts.len() * ts.len())).collect();
+        // Every solved verdict of the pass, pairs then triples, in plan
+        // order; a pending slot indexes into it.
+        let mut solved: Vec<Vec<AccessPair>> = Vec::new();
+
+        // Pairs: plan.
+        let mut planned: HashMap<VerdictKey, usize> = HashMap::new();
+        let mut pair_items: Vec<PairItem> = Vec::new();
+        for (prog, (ts, pfps)) in sums.iter().zip(&fps).enumerate() {
+            for i in 0..ts.len() {
+                for j in 0..ts.len() {
+                    counts[prog].pairs += 1;
+                    // A pair is only analysed as serializable when *both*
+                    // instances of the bounded execution coordinate.
+                    let marked = serializable_txns.contains(&ts[i].name)
+                        && serializable_txns.contains(&ts[j].name);
+                    let at = if marked { ConsistencyLevel::Serializable } else { level };
+                    let key = (pfps[i], pfps[j], i <= j, at);
+                    let slot = match cache.lookup(key, ts) {
+                        Some(pairs) => Slot::Ready(pairs),
+                        None => Slot::Pending(*planned.entry(key).or_insert_with(|| {
+                            pair_items.push(PairItem { prog, i, j, key });
+                            pair_items.len() - 1
+                        })),
+                    };
+                    slots[prog].push(slot);
+                }
+            }
+        }
+        stats.unique_pairs = pair_items.len() as u64;
+
+        // Pairs: solve and merge.
+        let publish = self.publishable(
+            pair_items.iter().map(|m| (m.key.0, m.key.1)).collect(),
+            |k| cache.states().contains(k),
+            |pool, m| pool.has_pair(m.key.0, m.key.1, m.key.3),
+            &pair_items,
+        );
+        let (outcomes, workers) = run_pool(self.threads, &pair_items, |m| {
+            self.solve_pair(&sums[m.prog], cache, m)
+        });
+        absorb(per_worker, &workers);
+        for ((m, o), publish) in pair_items.iter().zip(outcomes).zip(publish) {
+            let o = self.merge_outcome(cache, &mut stats.solve, o);
+            if publish {
+                publish_pair_state(cache, self.pool.as_deref(), m.key);
+            }
+            let ts = &sums[m.prog];
+            let txns = [ts[m.i].name.as_str(), ts[m.j].name.as_str()];
+            cache.insert(m.key, txns, o.pairs.clone(), o.proofs);
+            solved.push(o.pairs);
+        }
+
+        if mode == DetectMode::Triples {
+            // Triples: plan. Everything downstream — the cache key, the
+            // static prefilter, the grounded model, retained states —
+            // works in the one canonical orientation, so a state keyed
+            // here is never replayed against summaries in a different
+            // instance order.
+            let base = solved.len();
+            let mut planned: HashMap<TripleVerdictKey, usize> = HashMap::new();
+            let mut trio_items: Vec<TrioItem> = Vec::new();
+            for (prog, (ts, pfps)) in sums.iter().zip(&fps).enumerate() {
+                let n = ts.len();
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        for k in (j + 1)..n {
+                            counts[prog].triples += 1;
+                            let idx = canonical_trio([i, j, k], pfps);
+                            let key = (pfps[idx[0]], pfps[idx[1]], pfps[idx[2]], level);
+                            let trio = idx.map(|x| &ts[x]);
+                            let slot = if let Some(pairs) = cache.lookup_triple(key, ts) {
+                                Slot::Ready(pairs)
+                            } else if let Some(&item) = planned.get(&key) {
+                                Slot::Pending(base + item)
+                            } else if has_candidates(trio, idx.map(|x| pfps[x])) {
+                                planned.insert(key, trio_items.len());
+                                trio_items.push(TrioItem { prog, idx, key });
+                                Slot::Pending(base + trio_items.len() - 1)
+                            } else {
+                                // Statically template-free: settled without
+                                // a model or a solver.
+                                let names = trio.map(|t| t.name.as_str());
+                                cache.insert_triple(key, names, Vec::new(), Vec::new());
+                                Slot::Ready(Vec::new())
+                            };
+                            slots[prog].push(slot);
+                        }
+                    }
+                }
+            }
+            stats.unique_triples = trio_items.len() as u64;
+
+            // Triples: solve and merge.
+            let publish = self.publishable(
+                trio_items.iter().map(|m| (m.key.0, m.key.1, m.key.2)).collect(),
+                |k| cache.triple_states().contains(k),
+                |pool, m| pool.has_triple(&m.key),
+                &trio_items,
+            );
+            let (outcomes, workers) = run_pool(self.threads, &trio_items, |m| {
+                self.solve_trio(&sums[m.prog], &fps[m.prog], cache, m)
+            });
+            absorb(per_worker, &workers);
+            for ((m, o), publish) in trio_items.iter().zip(outcomes).zip(publish) {
+                let o = self.merge_outcome(cache, &mut stats.solve, o);
+                if publish {
+                    publish_trio_state(cache, self.pool.as_deref(), m.key);
+                }
+                let names = m.idx.map(|x| sums[m.prog][x].name.as_str());
+                cache.insert_triple(m.key, names, o.pairs.clone(), o.proofs);
+                solved.push(o.pairs);
+            }
+        }
+
+        // Answer: every program folds its own slots, in slot order, in its
+        // own labels.
+        stats.pair_slots = counts.iter().map(|c| c.pairs).sum();
+        stats.triple_slots = counts.iter().map(|c| c.triples).sum();
+        let answers = slots
+            .into_iter()
+            .zip(counts)
+            .enumerate()
+            .map(|(prog, (slots, counts))| {
+                let mut found: BTreeMap<_, AccessPair> = BTreeMap::new();
+                for slot in slots {
+                    let pairs = match slot {
+                        Slot::Ready(pairs) => pairs,
+                        Slot::Pending(item) => to_labels(&solved[item], &sums[prog])
+                            .expect("a solved verdict names commands of its program"),
+                    };
+                    accumulate(&mut found, pairs);
+                }
+                (found.into_values().collect(), counts)
+            })
+            .collect();
+        stats.seconds = started.elapsed().as_secs_f64();
+        (answers, stats)
+    }
+
+    /// Solves one dirty pair against its retained (or freshly grounded)
+    /// state, seeding a freshly built solver from the learnt pool.
+    fn solve_pair(&self, ts: &[TxnSummary], cache: &VerdictCache, m: &PairItem) -> Outcome {
+        let (fp1, fp2, symmetric, level) = m.key;
+        let (t1, t2) = (&ts[m.i], &ts[m.j]);
+        let states = cache.states();
+        let mut state = states.take((fp1, fp2)).unwrap_or_else(|| PairState::new(t1, t2));
+        let solver_reused = state.solver.is_some();
+        // A state without a solver seeds published lemmas at its (lazy)
+        // solver construction; the pool is frozen while the batch runs, so
+        // the seed is the same whichever worker claims this item.
+        let seed = match state.solver {
+            Some(_) => None,
+            None => self.pool.as_deref().and_then(|p| p.pair_seed(fp1, fp2, level)),
+        };
+        let seed = seed.as_deref().map(Vec::as_slice);
+        let (pairs, stats, proofs) =
+            solve_pair_with_state(t1, t2, symmetric, level, &mut state, seed, self.proofs);
+        states.store((fp1, fp2), state);
+        Outcome { pairs, stats, solver_reused, proofs }
+    }
+
+    /// The triple sibling of [`DetectionEngine::solve_pair`]. The triple
+    /// templates label their verdicts from `ts`, so positions resolve
+    /// against `ts`.
+    fn solve_trio(
+        &self,
+        ts: &[TxnSummary],
+        fps: &[u64],
+        cache: &VerdictCache,
+        m: &TrioItem,
+    ) -> Outcome {
+        let trio = m.idx.map(|x| &ts[x]);
+        let state_key = (m.key.0, m.key.1, m.key.2);
+        let states = cache.triple_states();
+        let mut state = states.take(state_key).unwrap_or_else(|| TripleState::new(trio));
+        let solver_reused = state.solver.is_some();
+        let seed = match state.solver {
+            Some(_) => None,
+            None => self.pool.as_deref().and_then(|p| p.triple_seed(&m.key)),
+        };
+        let seed = seed.as_deref().map(Vec::as_slice);
+        let (pairs, stats, proofs) = solve_triple_with_state(
+            trio,
+            m.idx.map(|x| fps[x]),
+            m.key.3,
+            &mut state,
+            seed,
             self.proofs,
-        )
+        );
+        states.store(state_key, state);
+        let pairs = to_positions(pairs, |txn, label| {
+            trio.iter()
+                .filter(|t| t.name == txn)
+                .flat_map(|t| &t.commands)
+                .find(|c| &c.label == label)
+                .expect("verdict labels name commands of the solved triple")
+                .prog_index
+        });
+        Outcome { pairs, stats, solver_reused, proofs }
     }
-}
 
-/// Whether `ATROPOS_LEARNT_POOL` leaves learnt-clause sharing on (the
-/// default): anything but `0` / `false` / `off` does.
-fn pool_enabled_from_env() -> bool {
-    match std::env::var("ATROPOS_LEARNT_POOL") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off"),
-        Err(_) => true,
+    /// Folds one solved outcome's counters into the cache statistics and
+    /// the pass's solver work.
+    fn merge_outcome(
+        &self,
+        cache: &mut VerdictCache,
+        solve: &mut DetectStats,
+        o: Option<Outcome>,
+    ) -> Outcome {
+        let o = o.expect("every work item was solved");
+        cache.stats_mut().solver_reuses += u64::from(o.solver_reused);
+        cache.stats_mut().learnt_seeded += o.stats.learnt_seeded;
+        solve.add_solver_work(&o.stats);
+        o
     }
-}
 
-/// Whether `ATROPOS_PROOFS` switches proof-certificate capture on: unset
-/// (the default) means off — proof logging is strictly opt-in, so the
-/// plain detection paths stay zero-cost — and anything but `0` / `false` /
-/// `off` enables it.
-pub(crate) fn proofs_enabled_from_env() -> bool {
-    match std::env::var("ATROPOS_PROOFS") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "" | "0" | "false" | "off"
-        ),
-        Err(_) => false,
+    /// Decides, at plan time, which work items may publish their retained
+    /// lemmas to the engine's [`LearntPool`] at the merge point.
+    /// Publication must be thread-count blind, so an item qualifies only
+    /// when the exported clause set is a pure function of the plan: the
+    /// pool does not hold the key yet, no retained state existed when the
+    /// batch was planned (a retained solver's lemmas depend on its whole
+    /// query history), and the state key is solved exactly once in this
+    /// batch (sibling items sharing a state — the symmetric/asymmetric
+    /// orientations of one fingerprint pair across programs — race on
+    /// take/store, so whichever solver survives is a scheduling accident).
+    fn publishable<K: std::hash::Hash + Eq + Copy, T>(
+        &self,
+        state_keys: Vec<K>,
+        retained: impl Fn(&K) -> bool,
+        published: impl Fn(&LearntPool, &T) -> bool,
+        items: &[T],
+    ) -> Vec<bool> {
+        let Some(pool) = self.pool.as_deref() else {
+            return vec![false; items.len()];
+        };
+        let mut count: HashMap<K, u32> = HashMap::new();
+        for k in &state_keys {
+            *count.entry(*k).or_insert(0) += 1;
+        }
+        state_keys
+            .iter()
+            .zip(items)
+            .map(|(k, m)| count[k] == 1 && !retained(k) && !published(pool, m))
+            .collect()
     }
 }
 
@@ -302,122 +576,55 @@ fn default_threads() -> usize {
         .min(8)
 }
 
-/// One dirty pair of the work list: its slot in the pass's result vector
-/// and the ordered transaction indices.
-struct Miss {
-    slot: usize,
+/// One dirty pair of the work list: the program that planned it first,
+/// its ordered transaction indices there, and the verdict key (which
+/// carries the lost-update orientation flag and the level queried).
+struct PairItem {
+    prog: usize,
     i: usize,
     j: usize,
-    symmetric: bool,
+    key: VerdictKey,
 }
 
-/// One dirty triple of the work list: its slot in the triple result
-/// vector, the transaction indices in **canonical (fingerprint-sorted)
+/// One dirty triple of the work list: the program that planned it first,
+/// the transaction indices in **canonical (fingerprint-sorted)
 /// orientation** — the orientation the cache key, the grounded model, and
 /// any retained [`TripleState`] all share, so a state retained under one
 /// program is never replayed under a differently-ordered sibling — and
 /// the canonical cache key.
-struct TrioMiss {
-    slot: usize,
+struct TrioItem {
+    prog: usize,
     idx: [usize; 3],
     key: TripleVerdictKey,
+}
+
+/// One verdict slot of a program's plan: answered at plan time from the
+/// cache (already in the program's labels), or by the solved verdict at
+/// this index of the pass's work lists.
+enum Slot {
+    Ready(Vec<AccessPair>),
+    Pending(usize),
 }
 
 /// Reorders a triple of transaction indices into the canonical
 /// orientation: ascending by fingerprint (ties — only possible between
 /// identical summaries — broken by index, keeping the order total).
-pub(crate) fn canonical_trio(idx: [usize; 3], fps: &[u64]) -> [usize; 3] {
+fn canonical_trio(idx: [usize; 3], fps: &[u64]) -> [usize; 3] {
     let mut c = idx;
     c.sort_unstable_by_key(|&i| (fps[i], i));
     c
 }
 
 /// The outcome of solving one dirty work item, produced on whatever worker
-/// claimed it and merged on the coordinating thread.
-pub(crate) struct Outcome {
-    pub(crate) pairs: Vec<AccessPair>,
-    pub(crate) stats: DetectStats,
-    pub(crate) solver_reused: bool,
+/// claimed it and merged on the coordinating thread. `pairs` are in the
+/// cache's positional form.
+struct Outcome {
+    pairs: Vec<AccessPair>,
+    stats: DetectStats,
+    solver_reused: bool,
     /// Proof certificates of this item's UNSAT queries (empty when proof
     /// capture is off), stored with the verdict at the merge point.
-    pub(crate) proofs: Vec<Vec<u8>>,
-}
-
-fn solve_miss(
-    summaries: &[TxnSummary],
-    fps: &[u64],
-    level: ConsistencyLevel,
-    states: &crate::cache::ShardedStateMap,
-    pool: Option<&LearntPool>,
-    proofs: bool,
-    m: &Miss,
-) -> Outcome {
-    let (t1, t2) = (&summaries[m.i], &summaries[m.j]);
-    let key = (fps[m.i], fps[m.j]);
-    let mut state = states.take(key).unwrap_or_else(|| PairState::new(t1, t2));
-    let solver_reused = state.solver.is_some();
-    // A state without a solver seeds published lemmas at its (lazy) solver
-    // construction; the pool is frozen while the batch runs, so the seed is
-    // the same whichever worker claims this item.
-    let seed = match state.solver {
-        Some(_) => None,
-        None => pool.and_then(|p| p.pair_seed(key.0, key.1, level)),
-    };
-    let (pairs, stats, certs) = solve_pair_with_state(
-        t1,
-        t2,
-        m.symmetric,
-        level,
-        &mut state,
-        seed.as_deref().map(Vec::as_slice),
-        proofs,
-    );
-    states.store(key, state);
-    Outcome {
-        pairs,
-        stats,
-        solver_reused,
-        proofs: certs,
-    }
-}
-
-fn solve_trio(
-    summaries: &[TxnSummary],
-    fps: &[u64],
-    level: ConsistencyLevel,
-    states: &ShardedTripleMap,
-    pool: Option<&LearntPool>,
-    proofs: bool,
-    m: &TrioMiss,
-) -> Outcome {
-    let ts = [
-        &summaries[m.idx[0]],
-        &summaries[m.idx[1]],
-        &summaries[m.idx[2]],
-    ];
-    let tfps = [fps[m.idx[0]], fps[m.idx[1]], fps[m.idx[2]]];
-    let key = (m.key.0, m.key.1, m.key.2);
-    let mut state = states.take(key).unwrap_or_else(|| TripleState::new(ts));
-    let solver_reused = state.solver.is_some();
-    let seed = match state.solver {
-        Some(_) => None,
-        None => pool.and_then(|p| p.triple_seed(&m.key)),
-    };
-    let (pairs, stats, certs) = solve_triple_with_state(
-        ts,
-        tfps,
-        level,
-        &mut state,
-        seed.as_deref().map(Vec::as_slice),
-        proofs,
-    );
-    states.store(key, state);
-    Outcome {
-        pairs,
-        stats,
-        solver_reused,
-        proofs: certs,
-    }
+    proofs: Vec<Vec<u8>>,
 }
 
 /// Drains `items` through an atomic work cursor on up to `threads` scoped
@@ -426,7 +633,7 @@ fn solve_trio(
 /// a spawn/join round-trip for them would hand the serial driver a
 /// regression). Returns the outcomes indexed like `items` plus per-worker
 /// counters. Outcome order is by item index, never completion order.
-pub(crate) fn run_pool<T: Sync>(
+fn run_pool<T: Sync>(
     threads: usize,
     items: &[T],
     solve: impl Fn(&T) -> Outcome + Sync,
@@ -489,55 +696,22 @@ pub(crate) fn run_pool<T: Sync>(
     (outcomes, worker_stats)
 }
 
-/// Folds one solved outcome's counters into the pass statistics.
-pub(crate) fn merge_outcome_stats(stats: &mut DetectStats, o: &Outcome) {
-    stats.queries += o.stats.queries;
-    stats.sat_queries += o.stats.sat_queries;
-    stats.memo_hits += o.stats.memo_hits;
-    stats.clauses_encoded += o.stats.clauses_encoded;
-    stats.clauses_fresh_equivalent += o.stats.clauses_fresh_equivalent;
-    stats.conflicts += o.stats.conflicts;
-    stats.propagations += o.stats.propagations;
-    stats.decisions += o.stats.decisions;
-    stats.learnt_seeded += o.stats.learnt_seeded;
-}
-
-/// Decides, at plan time, which misses may publish their retained lemmas
-/// to the engine's [`LearntPool`] at the merge point. Publication must be
-/// thread-count blind, so a miss qualifies only when the exported clause
-/// set is a pure function of the plan: the pool does not hold the key yet,
-/// no retained state existed when the batch was planned (a retained
-/// solver's lemmas depend on its whole query history), and the state key
-/// is solved exactly once in this batch (sibling misses sharing a state —
-/// the symmetric/asymmetric orientations of a self-pair, duplicate
-/// fingerprints inside one program — race on take/store, so whichever
-/// solver survives is a scheduling accident).
-pub(crate) fn publishable_flags<K: std::hash::Hash + Eq + Copy>(
-    state_keys: &[K],
-    fresh: impl Fn(&K) -> bool,
-    pool_lacks: impl Fn(&K) -> bool,
-) -> Vec<bool> {
-    let mut count: std::collections::HashMap<K, u32> = std::collections::HashMap::new();
-    for k in state_keys {
-        *count.entry(*k).or_insert(0) += 1;
+/// Adds one batch's per-worker counters to `into`, slot by slot.
+fn absorb(into: &mut Vec<WorkerStats>, batch: &[WorkerStats]) {
+    if into.len() < batch.len() {
+        into.resize(batch.len(), WorkerStats::default());
     }
-    state_keys
-        .iter()
-        .map(|k| count[k] == 1 && fresh(k) && pool_lacks(k))
-        .collect()
+    for (slot, w) in batch.iter().enumerate() {
+        into[slot].absorb(w);
+    }
 }
 
 /// Publishes the lemmas retained by one pair state's solver (if it built
 /// one) to the engine's pool — called at the serial merge point, after the
 /// batch's workers have all returned their states.
-pub(crate) fn publish_pair_state(
-    cache: &VerdictCache,
-    pool: Option<&LearntPool>,
-    fp1: u64,
-    fp2: u64,
-    level: ConsistencyLevel,
-) {
+fn publish_pair_state(cache: &VerdictCache, pool: Option<&LearntPool>, key: VerdictKey) {
     let Some(pool) = pool else { return };
+    let (fp1, fp2, _, level) = key;
     if let Some(state) = cache.states().take((fp1, fp2)) {
         if let Some(ps) = &state.solver {
             let exported = ps.export_learnts();
@@ -550,11 +724,7 @@ pub(crate) fn publish_pair_state(
 }
 
 /// The triple sibling of [`publish_pair_state`].
-pub(crate) fn publish_trio_state(
-    cache: &VerdictCache,
-    pool: Option<&LearntPool>,
-    key: TripleVerdictKey,
-) {
+fn publish_trio_state(cache: &VerdictCache, pool: Option<&LearntPool>, key: TripleVerdictKey) {
     let Some(pool) = pool else { return };
     if let Some(state) = cache.triple_states().take((key.0, key.1, key.2)) {
         if let Some(ts) = &state.solver {
@@ -567,203 +737,10 @@ pub(crate) fn publish_trio_state(
     }
 }
 
-/// The shared implementation behind [`DetectionEngine::detect_with_mode`]
-/// and the serial [`crate::detect_anomalies_cached`]: plan serially, solve
-/// the misses on up to `threads` workers, merge deterministically.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn detect_with_cache(
-    threads: usize,
-    program: &Program,
-    level: ConsistencyLevel,
-    mode: DetectMode,
-    cache: &mut VerdictCache,
-    per_worker: Option<&mut Vec<WorkerStats>>,
-    pool: Option<&LearntPool>,
-    proofs: bool,
-) -> (Vec<AccessPair>, DetectStats) {
-    let started = Instant::now();
-    let summaries = summarize_program(program);
-    let fps: Vec<u64> = summaries.iter().map(txn_fingerprint).collect();
-    // Fold this program into the session's liveness union and prune entries
-    // outside it; an entry the sweep keeps is guaranteed to hit below (this
-    // pass or a later one over a program already seen).
-    cache.sweep_live(&fps);
-    let n = summaries.len();
-    let mut stats = DetectStats::default();
-    let mut all_workers: Vec<WorkerStats> = Vec::new();
-    let absorb = |all: &mut Vec<WorkerStats>, ws: &[WorkerStats]| {
-        if all.len() < ws.len() {
-            all.resize(ws.len(), WorkerStats::default());
-        }
-        for (slot, w) in ws.iter().enumerate() {
-            all[slot].absorb(w);
-        }
-    };
-
-    // Phase 1 (serial): verdict lookups. Hits fill their slots; misses
-    // become the dirty-pair work list.
-    let mut slots: Vec<Option<Vec<AccessPair>>> = Vec::with_capacity(n * n);
-    let mut misses: Vec<Miss> = Vec::new();
-    for i in 0..n {
-        for j in 0..n {
-            stats.pairs += 1;
-            let symmetric = i <= j;
-            let slot = slots.len();
-            match cache.lookup(fps[i], fps[j], symmetric, level) {
-                Some(pairs) => slots.push(Some(pairs)),
-                None => {
-                    slots.push(None);
-                    misses.push(Miss {
-                        slot,
-                        i,
-                        j,
-                        symmetric,
-                    });
-                }
-            }
-        }
-    }
-
-    // Which misses may publish lemmas at the merge point — a plan-time
-    // fact, so the pool's evolution is byte-identical at any thread count.
-    let pair_publish: Vec<bool> = match pool {
-        Some(p) => {
-            let keys: Vec<(u64, u64)> = misses.iter().map(|m| (fps[m.i], fps[m.j])).collect();
-            publishable_flags(
-                &keys,
-                |k| !cache.states().contains(k),
-                |k| !p.has_pair(k.0, k.1, level),
-            )
-        }
-        None => vec![false; misses.len()],
-    };
-
-    // Phase 2: solve the dirty pairs on the pool.
-    let (outcomes, worker_stats) = run_pool(threads, &misses, |m| {
-        solve_miss(&summaries, &fps, level, cache.states(), pool, proofs, m)
-    });
-    absorb(&mut all_workers, &worker_stats);
-
-    // Phase 3 (serial, deterministic): insert verdicts and fold results in
-    // the serial pair order, whatever order the workers finished in.
-    for ((m, o), publish) in misses.iter().zip(outcomes).zip(&pair_publish) {
-        let o = o.expect("every miss was solved");
-        cache.stats_mut().solver_reuses += u64::from(o.solver_reused);
-        cache.stats_mut().learnt_seeded += o.stats.learnt_seeded;
-        merge_outcome_stats(&mut stats, &o);
-        if *publish {
-            publish_pair_state(cache, pool, fps[m.i], fps[m.j], level);
-        }
-        cache.insert(
-            fps[m.i],
-            fps[m.j],
-            m.symmetric,
-            level,
-            &summaries[m.i],
-            &summaries[m.j],
-            o.pairs.clone(),
-            o.proofs,
-        );
-        slots[m.slot] = Some(o.pairs);
-    }
-
-    // The triple phases: same plan/solve/merge shape over every unordered
-    // triple of distinct transactions. Statically template-free triples
-    // are settled during planning (an empty verdict, no model, no solver).
-    let mut trio_slots: Vec<Option<Vec<AccessPair>>> = Vec::new();
-    if mode == DetectMode::Triples {
-        let mut trio_misses: Vec<TrioMiss> = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                for k in (j + 1)..n {
-                    stats.triples += 1;
-                    // Everything downstream — the cache key, the static
-                    // prefilter, the grounded model, retained states —
-                    // works in the one canonical orientation, so a state
-                    // keyed here can never be replayed against summaries
-                    // in a different instance order.
-                    let idx = canonical_trio([i, j, k], &fps);
-                    let key = (fps[idx[0]], fps[idx[1]], fps[idx[2]], level);
-                    let slot = trio_slots.len();
-                    match cache.lookup_triple(key) {
-                        Some(pairs) => trio_slots.push(Some(pairs)),
-                        None => {
-                            let ts =
-                                [&summaries[idx[0]], &summaries[idx[1]], &summaries[idx[2]]];
-                            if has_candidates(ts, [fps[idx[0]], fps[idx[1]], fps[idx[2]]]) {
-                                trio_slots.push(None);
-                                trio_misses.push(TrioMiss { slot, idx, key });
-                            } else {
-                                cache.insert_triple(key, ts, Vec::new(), Vec::new());
-                                trio_slots.push(Some(Vec::new()));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let trio_publish: Vec<bool> = match pool {
-            Some(p) => {
-                let keys: Vec<(u64, u64, u64)> =
-                    trio_misses.iter().map(|m| (m.key.0, m.key.1, m.key.2)).collect();
-                publishable_flags(
-                    &keys,
-                    |k| !cache.triple_states().contains(k),
-                    |k| !p.has_triple(&(k.0, k.1, k.2, level)),
-                )
-            }
-            None => vec![false; trio_misses.len()],
-        };
-
-        let (trio_outcomes, trio_workers) = run_pool(threads, &trio_misses, |m| {
-            solve_trio(&summaries, &fps, level, cache.triple_states(), pool, proofs, m)
-        });
-        absorb(&mut all_workers, &trio_workers);
-
-        for ((m, o), publish) in trio_misses.iter().zip(trio_outcomes).zip(&trio_publish) {
-            let o = o.expect("every triple miss was solved");
-            cache.stats_mut().solver_reuses += u64::from(o.solver_reused);
-            cache.stats_mut().learnt_seeded += o.stats.learnt_seeded;
-            merge_outcome_stats(&mut stats, &o);
-            if *publish {
-                publish_trio_state(cache, pool, m.key);
-            }
-            cache.insert_triple(
-                m.key,
-                [
-                    &summaries[m.idx[0]],
-                    &summaries[m.idx[1]],
-                    &summaries[m.idx[2]],
-                ],
-                o.pairs.clone(),
-                o.proofs,
-            );
-            trio_slots[m.slot] = Some(o.pairs);
-        }
-    }
-
-    let mut found: std::collections::BTreeMap<(String, String, AnomalyKind), AccessPair> =
-        std::collections::BTreeMap::new();
-    for pairs in slots.into_iter().chain(trio_slots) {
-        accumulate(&mut found, pairs.expect("every slot was filled"));
-    }
-    if let Some(pw) = per_worker {
-        if pw.len() < all_workers.len() {
-            pw.resize(all_workers.len(), WorkerStats::default());
-        }
-        for (slot, ws) in all_workers.iter().enumerate() {
-            pw[slot].absorb(ws);
-        }
-    }
-    stats.seconds = started.elapsed().as_secs_f64();
-    (found.into_values().collect(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::detect_anomalies;
+    use crate::detect::{detect_anomalies, AnomalyKind};
     use atropos_dsl::parse;
 
     const TWO_TXNS: &str = "schema T { id: int key, v: int, w: int }
@@ -891,6 +868,31 @@ mod tests {
         assert_eq!(ec_rev, ec_fwd);
         assert_eq!(stats.queries, 0, "orientation-normalized entries replay");
         assert!(session.cache_stats().since(&before).triple_hits > 0);
+    }
+
+    /// Two programs sharing every transaction shape under different
+    /// command labels, detected one after the other on one shared
+    /// session: the second is answered entirely from the cache, in its
+    /// own labels — exactly what it gets in isolation.
+    #[test]
+    fn shared_session_answers_in_the_asking_programs_labels() {
+        let ec = ConsistencyLevel::EventualConsistency;
+        for (src, mode) in [(TWO_TXNS, DetectMode::Pairs), (RELAY, DetectMode::Triples)] {
+            let a = parse(&src.replace('@', "@A_")).unwrap();
+            let b = parse(&src.replace('@', "@B_")).unwrap();
+            let engine = DetectionEngine::serial();
+            let mut shared = DetectSession::new();
+            engine.detect_with_mode(&a, ec, mode, &mut shared);
+            let (got, stats) = engine.detect_with_mode(&b, ec, mode, &mut shared);
+            assert_eq!(stats.queries, 0, "{mode}: every shape of b is cached");
+            let (isolated, _) = engine.detect_with_mode(&b, ec, mode, &mut DetectSession::new());
+            assert!(!isolated.is_empty(), "{mode}: the fixture has anomalies");
+            assert_eq!(got, isolated, "{mode}: b answered in a's labels");
+            assert!(
+                got.iter().all(|p| p.cmd1.0.starts_with("B_") && p.cmd2.0.starts_with("B_")),
+                "{mode}: {got:?}"
+            );
+        }
     }
 
     #[test]

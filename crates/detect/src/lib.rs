@@ -16,21 +16,27 @@
 //!   [`PairSolver`] (one solver per transaction pair, level axioms as
 //!   activation-literal-guarded groups, queries via assumptions);
 //! * [`detect`] — the four violation templates, the public oracle
-//!   [`detect_anomalies`] (plus multi-level, instrumented, fresh, and
-//!   differential variants), and [`DetectStats`];
-//! * [`cache`] — transaction-pair fingerprinting and the [`VerdictCache`]
-//!   behind [`detect_anomalies_cached`], the near-incremental oracle the
-//!   repair loop re-invokes after every refactoring step;
-//! * [`engine`] — the [`DetectionEngine`]: the same cached oracle with the
-//!   dirty pairs solved on a scoped-thread worker pool
-//!   (`ATROPOS_THREADS`-controlled) and merged deterministically;
+//!   [`detect_anomalies`] (plus multi-level, instrumented, marked, cached
+//!   and triple variants — all the engine's one pass at one worker), the
+//!   fresh-solver reference and differential runners, and [`DetectStats`];
+//! * [`cache`] — transaction fingerprinting and the [`VerdictCache`]:
+//!   verdicts keyed by fingerprint and stored by command position, so any
+//!   program sharing a transaction shape reads them back in its own
+//!   labels;
+//! * [`engine`] — the [`DetectionEngine`] and its one plan → solve →
+//!   merge pass over a slice of programs: a single program is a corpus of
+//!   one; dirty pairs and triples are solved on a scoped-thread worker
+//!   pool and merged deterministically. The caller owns its
+//!   configuration (builders; `ATROPOS_THREADS` only through
+//!   [`DetectionEngine::from_env`]);
 //! * [`session`] — the [`DetectSession`]: a verdict cache with a session
 //!   lifetime, shared across repair runs so common transaction shapes hit
 //!   warm verdicts (cross-run counters in [`CacheStats`]);
-//! * [`corpus`] — fleet scale: the sharded `verdict_cache.v2` store
-//!   (per-shard advisory locks, checksummed record logs, union merge,
-//!   compaction/eviction) and the [`CorpusService`] that fingerprint-dedups
-//!   a whole directory of programs before solving;
+//! * [`corpus`] — fleet scale: the sharded `verdict_cache.v2` store, the
+//!   one on-disk format (per-shard advisory locks, checksummed record
+//!   logs, union merge, compaction/eviction), and [`analyse_corpus`] /
+//!   the [`CorpusService`], the engine's pass over a whole directory of
+//!   programs;
 //! * [`replay`] — witness replay: the satisfying assignment behind a dirty
 //!   verdict is decoded ([`decode_witness`]) into a concrete
 //!   [`atropos_sim::ConcreteSchedule`] and executed deterministically on
@@ -86,3 +92,12 @@ pub use encode::{pattern_satisfiable, ConsistencyLevel, InstanceModel, PairSolve
 pub use replay::{decode_witness, decode_witness_marked, replay_verdict};
 pub use model::{summarize_program, summarize_txn, CmdKind, CmdSummary, KeySpec, TxnSummary};
 pub use triple::{TripleModel, TripleSolver};
+
+/// A per-process scratch path for unit tests that touch the file system,
+/// under the workspace's `target/` directory.
+#[cfg(test)]
+pub(crate) fn test_scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/test-scratch");
+    std::fs::create_dir_all(&dir).expect("create the test scratch directory");
+    dir.join(format!("{name}_{}", std::process::id()))
+}

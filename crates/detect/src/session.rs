@@ -1,8 +1,7 @@
 //! Session-scoped detection state: one [`VerdictCache`] (plus per-worker
 //! accounting) shared across many detection passes *and many repair runs*.
 //!
-//! PR 3's verdict cache lived and died with a single `repair_with_config`
-//! call. A [`DetectSession`] promotes it to a session lifetime: an ablation
+//! A [`DetectSession`] gives the verdict cache a session lifetime: an ablation
 //! sweep, a random-search baseline, or a whole benchmark suite constructs
 //! one session and hands it to every run, so transaction shapes shared
 //! between runs (CLOTHO-style sweeps re-analyse the same workloads under
@@ -14,7 +13,6 @@
 //! [`crate::cache`]).
 
 use atropos_dsl::Program;
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
@@ -114,12 +112,6 @@ impl DetectSession {
         self.cache.audits()
     }
 
-    /// Forwards a refactoring step's pure relabelings to the cache (see
-    /// [`VerdictCache::record_renames`]).
-    pub fn record_renames(&mut self, renames: &BTreeMap<String, String>) {
-        self.cache.record_renames(renames);
-    }
-
     /// Explicit between-runs sweep: resets liveness to exactly `program`
     /// and evicts everything else (see [`VerdictCache::sweep`]). Returns
     /// the number of verdict entries evicted.
@@ -150,7 +142,7 @@ impl DetectSession {
     }
 
     /// Evicts exactly the cached verdicts whose transactions *changed
-    /// shape* in `after` — a renamed-but-identical transaction (its
+    /// shape* in `after` — a relabelled-but-identical transaction (its
     /// summary fingerprint is label-blind) keeps its entries, so a
     /// rename-only refactoring step stays fully warm (see
     /// [`VerdictCache::invalidate_txns_changed`]). Returns the number of
@@ -187,45 +179,30 @@ impl DetectSession {
         }
     }
 
-    /// Persists every pair and triple verdict entry to `path`, dispatching
-    /// on what `path` is:
-    ///
-    /// * an existing **directory** is treated as a sharded
-    ///   `verdict_cache.v2` store ([`crate::corpus::CorpusStore`]): this
-    ///   session's verdicts are **union-merged** in under per-shard
-    ///   advisory locks, so concurrent sessions saving to one store
-    ///   combine instead of clobbering each other;
-    /// * any other path gets the monolithic length-prefixed
-    ///   `verdict_cache.v1` file (conventionally
-    ///   `experiments/verdict_cache.v1`; the bench bins wire this behind
-    ///   the `ATROPOS_CACHE_FILE` environment variable), written via a
-    ///   sibling tempfile and an atomic rename so a crash mid-save leaves
-    ///   the previous file intact — never the truncated files
-    ///   [`DetectSession::load_from`] rejects.
+    /// Union-merges every pair and triple verdict entry into the sharded
+    /// `verdict_cache.v2` store directory at `path`
+    /// ([`crate::corpus::CorpusStore`]; created if missing) under
+    /// per-shard advisory locks, so concurrent sessions saving to one
+    /// store combine instead of clobbering each other. The bench bins wire
+    /// this behind the `ATROPOS_CACHE_FILE` environment variable.
     ///
     /// Retained solvers are transient and not persisted — a loaded
     /// session re-encodes on its first miss but never re-solves a
-    /// persisted verdict. Returns the number of entries written (for a v2
-    /// store: the number this session contributed, merged or already
-    /// present).
+    /// persisted verdict. Returns the number of entries this session
+    /// contributed (merged or already present).
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from writing `path`.
+    /// Propagates I/O errors; a `path` that is a regular file (such as a
+    /// cache in the retired `verdict_cache.v1` format) is refused with
+    /// `InvalidData`.
     pub fn save_to(&self, path: impl AsRef<Path>) -> io::Result<usize> {
-        let path = path.as_ref();
-        if path.is_dir() {
-            crate::corpus::CorpusStore::open(path)?.merge_cache(&self.cache)?;
-            return Ok(self.cache.len() + self.cache.triple_len());
-        }
-        let mut bytes = Vec::new();
-        let entries = self.cache.save_entries(&mut bytes);
-        crate::corpus::write_atomic(path, &bytes)?;
-        Ok(entries)
+        crate::corpus::CorpusStore::open(path)?.merge_cache(&self.cache)?;
+        Ok(self.cache.len() + self.cache.triple_len())
     }
 
-    /// Reconstructs a session from a [`DetectSession::save_to`] path — a
-    /// `verdict_cache.v1` file or a `verdict_cache.v2` store directory.
+    /// Reconstructs a session from the store directory at `path` (see
+    /// [`DetectSession::save_to`]; a missing directory is an empty store).
     /// All entries load into run 0 (warm for every following run), and the
     /// liveness union is seeded with every persisted fingerprint so a pass
     /// over one program does not sweep away another program's entries.
@@ -233,19 +210,11 @@ impl DetectSession {
     /// # Errors
     ///
     /// Propagates I/O errors; returns
-    /// [`std::io::ErrorKind::InvalidData`] on a malformed or
-    /// version-incompatible file.
+    /// [`std::io::ErrorKind::InvalidData`] on a corrupt shard or when
+    /// `path` is a regular file.
     pub fn load_from(path: impl AsRef<Path>) -> io::Result<DetectSession> {
-        let path = path.as_ref();
-        if path.is_dir() {
-            let cache = crate::corpus::CorpusStore::open(path)?.load_cache()?;
-            return Ok(DetectSession::from_cache(cache));
-        }
-        let bytes = std::fs::read(path)?;
-        Ok(DetectSession {
-            cache: VerdictCache::load_entries(&bytes)?,
-            per_worker: Vec::new(),
-        })
+        let cache = crate::corpus::CorpusStore::open(path)?.load_cache()?;
+        Ok(DetectSession::from_cache(cache))
     }
 }
 
@@ -272,6 +241,25 @@ mod tests {
              return 0;
          }";
 
+    /// A fresh store directory under the temp dir, unique per test.
+    fn store_path(tag: &str) -> std::path::PathBuf {
+        let path = crate::test_scratch(&format!("session_{tag}"));
+        let _ = std::fs::remove_dir_all(&path);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// The store's shard files that hold records, in shard order.
+    fn shards(dir: &Path) -> Vec<std::path::PathBuf> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("read store")
+            .map(|e| e.expect("entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "v2"))
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     fn verdicts_roundtrip_across_processes() {
         let p = atropos_dsl::parse(RELAY).unwrap();
@@ -282,10 +270,7 @@ mod tests {
         let mut first = DetectSession::new();
         let (pairs, _) = engine.detect(&p, ec, &mut first);
         let (triples, _) = engine.detect_with_mode(&p, ec, DetectMode::Triples, &mut first);
-        let path = std::env::temp_dir().join(format!(
-            "atropos_verdict_cache_{}.v1",
-            std::process::id()
-        ));
+        let path = store_path("roundtrip");
         let entries = first.save_to(&path).expect("save");
         assert!(entries > 0);
 
@@ -302,101 +287,101 @@ mod tests {
         assert_eq!(delta.misses + delta.triple_misses, 0, "{delta:?}");
 
         // Corrupt data is refused, not misread.
-        std::fs::write(&path, b"not a verdict cache").expect("overwrite");
+        for shard in shards(&path) {
+            std::fs::write(&shard, b"not a verdict cache").expect("overwrite");
+        }
         assert!(DetectSession::load_from(&path).is_err());
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&path);
     }
 
-    /// A zero-length cache file (crash before the first write, or an
-    /// `ATROPOS_CACHE_FILE` created by `touch`) must be refused with a
-    /// clear `InvalidData` error, not misread as an empty cache.
+    /// A zero-length regular file where a store belongs (a cache file
+    /// created by `touch`, or one in the retired monolithic v1 format)
+    /// must be refused with a clear `InvalidData` error naming the
+    /// retired format, not misread as an empty cache — by the loader and
+    /// the saver alike.
     #[test]
     fn zero_length_cache_file_is_refused() {
-        let path = std::env::temp_dir().join(format!(
-            "atropos_zero_length_{}.v1",
-            std::process::id()
-        ));
+        let path = store_path("zero_length");
         std::fs::write(&path, b"").expect("write");
         let err = match DetectSession::load_from(&path) {
             Err(e) => e,
             Ok(_) => panic!("zero-length file accepted"),
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("empty file"), "{err}");
+        assert!(err.to_string().contains("verdict_cache.v1"), "{err}");
+        let err = DetectSession::new().save_to(&path).expect_err("a file is not a store");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(path.is_file(), "the refused file is left untouched");
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A file cut off *inside* a length-prefixed record — valid magic,
-    /// valid revision, clean EOF mid-entry (a partial write or copy) —
-    /// must be refused with a clear `InvalidData` error rather than loading
-    /// a silently incomplete cache.
+    /// A shard cut off *inside* a length-prefixed record — valid header,
+    /// clean EOF mid-record (a partial write or copy) — must be refused
+    /// with a clear `InvalidData` error rather than loading a silently
+    /// incomplete cache.
     #[test]
     fn mid_record_truncation_is_refused() {
         let p = atropos_dsl::parse(RELAY).unwrap();
         let engine = DetectionEngine::serial();
         let mut session = DetectSession::new();
         engine.detect(&p, ConsistencyLevel::EventualConsistency, &mut session);
-        let path = std::env::temp_dir().join(format!(
-            "atropos_truncated_{}.v1",
-            std::process::id()
-        ));
+        let path = store_path("truncated");
         session.save_to(&path).expect("save");
 
-        let bytes = std::fs::read(&path).expect("read");
-        // Cut off mid-record at several depths: just past the header (the
-        // entry count promises records the bytes can't hold), and a few
-        // bytes short of the end (EOF inside the final record).
-        for cut in [13, bytes.len() - 5, bytes.len() - 1] {
+        let shard = shards(&path).pop().expect("a shard holds records");
+        let bytes = std::fs::read(&shard).expect("read");
+        // Cut off mid-record at several depths: inside the first record's
+        // header, and a few bytes short of the end (EOF inside the final
+        // record).
+        for cut in [25, bytes.len() - 5, bytes.len() - 1] {
             assert!(cut < bytes.len(), "fixture large enough");
-            std::fs::write(&path, &bytes[..cut]).expect("write");
+            std::fs::write(&shard, &bytes[..cut]).expect("write");
             let err = match DetectSession::load_from(&path) {
                 Err(e) => e,
-                Ok(_) => panic!("file truncated at {cut} accepted"),
+                Ok(_) => panic!("shard truncated at {cut} accepted"),
             };
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "cut at {cut}");
             assert!(err.to_string().contains("truncated"), "cut at {cut}: {err}");
         }
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&path);
     }
 
-    /// A crash mid-`save_to` must never damage the previously saved file:
-    /// the write stages into a sibling tempfile and lands via atomic
-    /// rename. The test replays the kill by planting exactly the partial
-    /// bytes a writer killed partway would leave at the staging path —
-    /// the original file must still load, byte-for-byte warm.
+    /// A crash mid-`save_to` must never damage the previously saved store:
+    /// every shard write stages into a sibling tempfile and lands via
+    /// atomic rename. The test replays the kill by planting exactly the
+    /// partial bytes a writer killed partway would leave at a shard's
+    /// staging path — the store must still load, byte-for-byte warm.
     #[test]
     fn killed_save_leaves_previous_file_loadable() {
         let p = atropos_dsl::parse(RELAY).unwrap();
         let engine = DetectionEngine::serial();
         let mut session = DetectSession::new();
         let (pairs, _) = engine.detect(&p, ConsistencyLevel::EventualConsistency, &mut session);
-        let path = std::env::temp_dir().join(format!(
-            "atropos_crash_save_{}.v1",
-            std::process::id()
-        ));
+        let path = store_path("crash_save");
         let entries = session.save_to(&path).expect("first save");
         assert!(entries > 0);
-        let good = std::fs::read(&path).expect("read saved file");
+        let shard = shards(&path).pop().expect("a shard holds records");
+        let good = std::fs::read(&shard).expect("read saved shard");
 
         // "Kill" a second save partway: the staging sibling holds a
         // truncated prefix, but no rename ever happens.
-        let staged = crate::corpus::tmp_sibling(&path);
+        let staged = crate::corpus::tmp_sibling(&shard);
         std::fs::write(&staged, &good[..good.len() / 2]).expect("partial write");
 
-        // The real file is untouched and still loads to the same verdicts.
-        assert_eq!(std::fs::read(&path).expect("reread"), good);
+        // The real shard is untouched and still loads to the same verdicts.
+        assert_eq!(std::fs::read(&shard).expect("reread"), good);
         let mut reloaded = DetectSession::load_from(&path).expect("load survives the crash");
         let (again, stats) =
             engine.detect(&p, ConsistencyLevel::EventualConsistency, &mut reloaded);
         assert_eq!(again, pairs);
         assert_eq!(stats.queries, 0, "reloaded verdicts replay warm");
 
-        // And a completed save atomically replaces the file, leaving no
-        // staging debris behind at its own sibling.
+        // And a completed save atomically replaces the shard with the same
+        // records.
         session.save_to(&path).expect("second save");
-        assert_eq!(std::fs::read(&path).expect("reread"), good);
-        let _ = std::fs::remove_file(&staged);
-        let _ = std::fs::remove_file(&path);
+        let store = crate::corpus::CorpusStore::open(&path).expect("reopen");
+        assert_eq!(store.entry_count().expect("count"), entries);
+        let _ = std::fs::remove_dir_all(&path);
     }
 
     /// `save_to`/`load_from` pointed at a *directory* speak the sharded
@@ -410,10 +395,7 @@ mod tests {
         let (pairs, _) = engine.detect(&p, ec, &mut first);
         let (triples, _) = engine.detect_with_mode(&p, ec, DetectMode::Triples, &mut first);
 
-        let dir = std::env::temp_dir().join(format!(
-            "atropos_session_store_{}",
-            std::process::id()
-        ));
+        let dir = store_path("store");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let entries = first.save_to(&dir).expect("save to store");
         assert_eq!(entries, first.len() + first.triple_len());
@@ -427,34 +409,34 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A cache persisted by a different encoder revision must be refused
-    /// with a clear error, not silently trusted: its verdicts may not mean
-    /// what this build thinks (stale-verdict replay would bypass
-    /// re-detection entirely).
+    /// Verdicts persisted by a different encoder revision must not be
+    /// trusted: they may not mean what this build thinks (stale-verdict
+    /// replay would bypass re-detection entirely). Uncertified records of
+    /// a stale shard are refused, and the next pass re-solves them.
     #[test]
     fn stale_encoder_revision_is_refused() {
         let p = atropos_dsl::parse(RELAY).unwrap();
         let engine = DetectionEngine::serial();
+        let ec = ConsistencyLevel::EventualConsistency;
         let mut session = DetectSession::new();
-        engine.detect(&p, ConsistencyLevel::EventualConsistency, &mut session);
-        let path = std::env::temp_dir().join(format!(
-            "atropos_stale_revision_{}.v1",
-            std::process::id()
-        ));
+        let (cold, _) = engine.detect(&p, ec, &mut session);
+        let path = store_path("stale_revision");
         session.save_to(&path).expect("save");
 
-        // Rewind the encoder-revision field (the 4 bytes after the magic)
-        // to a foreign value, leaving everything else byte-identical.
-        let mut bytes = std::fs::read(&path).expect("read");
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, &bytes).expect("write");
+        // Rewind every shard's encoder-revision field (the 4 bytes after
+        // the magic) to a foreign value, leaving everything else
+        // byte-identical.
+        for shard in shards(&path) {
+            let mut bytes = std::fs::read(&shard).expect("read");
+            bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+            std::fs::write(&shard, &bytes).expect("write");
+        }
 
-        let err = match DetectSession::load_from(&path) {
-            Err(e) => e,
-            Ok(_) => panic!("stale revision accepted"),
-        };
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("encoder revision"), "{err}");
-        let _ = std::fs::remove_file(&path);
+        let mut reloaded = DetectSession::load_from(&path).expect("stale shards salvage");
+        assert!(reloaded.is_empty(), "proofless stale verdicts were trusted");
+        let (again, stats) = engine.detect(&p, ec, &mut reloaded);
+        assert_eq!(again, cold);
+        assert_eq!(reloaded.cache_stats().misses, stats.pairs, "refused verdicts are re-solved");
+        let _ = std::fs::remove_dir_all(&path);
     }
 }

@@ -1,15 +1,15 @@
 //! Integration coverage for the sharded `verdict_cache.v2` store: two
 //! concurrent sessions union-merge (no lost verdicts), corrupt shards
 //! are refused by byte surgery, revision-stale shards degrade to
-//! per-record salvage (only certified clean verdicts survive), v1 files
-//! migrate transparently, and the compaction pass enforces the eviction
-//! policy.
+//! per-record salvage (only certified clean verdicts survive), a regular
+//! file where a store belongs is refused, and the compaction pass enforces
+//! the eviction policy.
 
 use std::path::{Path, PathBuf};
 
 use atropos_detect::corpus::{CorpusStore, EvictionPolicy};
 use atropos_detect::{
-    detect_anomalies_cached, ConsistencyLevel, DetectMode, DetectSession, DetectionEngine,
+    detect_anomalies_cached, ConsistencyLevel, DetectSession, DetectionEngine,
     VerdictCache,
 };
 
@@ -236,31 +236,23 @@ fn stale_shard_salvages_certified_clean_verdicts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Opening a store at an existing v1 cache *file* migrates it in place:
-/// the path becomes a store directory holding the same verdicts, and the
-/// session-level loader replays them warm in both detection modes.
+/// A store is always a directory: a regular file at the path — such as a
+/// cache in the retired monolithic v1 format — is refused with
+/// `InvalidData` naming that format, and left untouched.
 #[test]
-fn v1_file_migrates_to_a_store_directory() {
-    let path = scratch("migrate");
-    let p = atropos_dsl::parse(BANK).unwrap();
-    let engine = DetectionEngine::serial();
-    let mut session = DetectSession::new();
-    let (pairs, _) = engine.detect(&p, EC, &mut session);
-    let (triples, _) = engine.detect_with_mode(&p, EC, DetectMode::Triples, &mut session);
-    let entries = session.save_to(&path).expect("save v1 file");
-    assert!(path.is_file(), "v1 save produces a monolithic file");
-
-    let store = CorpusStore::open(&path).expect("open migrates");
-    assert!(path.is_dir(), "migration replaced the file with a store dir");
-    assert_eq!(store.entry_count().expect("count"), entries);
-
-    let mut reloaded = DetectSession::load_from(&path).expect("load store");
-    let (again_pairs, sp) = engine.detect(&p, EC, &mut reloaded);
-    let (again_triples, st) = engine.detect_with_mode(&p, EC, DetectMode::Triples, &mut reloaded);
-    assert_eq!(again_pairs, pairs);
-    assert_eq!(again_triples, triples);
-    assert_eq!(sp.queries + st.queries, 0, "migrated verdicts replay warm");
-    let _ = std::fs::remove_dir_all(&path);
+fn a_file_path_is_refused_naming_the_retired_v1_format() {
+    let path = scratch("v1_file");
+    std::fs::write(&path, b"ATRVC\x01\0\0").expect("plant a file");
+    for err in [
+        CorpusStore::open(&path).err().expect("open refuses a file"),
+        DetectSession::load_from(&path).err().expect("load refuses a file"),
+        DetectSession::new().save_to(&path).expect_err("save refuses a file"),
+    ] {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("verdict_cache.v1"), "{err}");
+    }
+    assert_eq!(std::fs::read(&path).expect("still a file"), b"ATRVC\x01\0\0");
+    let _ = std::fs::remove_file(&path);
 }
 
 /// Compaction enforces the eviction policy deterministically: age evicts

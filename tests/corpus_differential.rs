@@ -140,3 +140,33 @@ fn duplicated_corpus_dedups_and_answers_all_copies() {
         );
     }
 }
+
+/// The label-leak regression: a corpus whose programs share every
+/// transaction shape but not their command labels — each workload beside
+/// a copy relabelled `B_…` — must answer every program in its own labels,
+/// exactly as isolation does. Fingerprints are label-blind, so the copies
+/// hit the originals' cache entries; a cache that stored labels would
+/// hand the copies the originals' labels.
+#[test]
+fn relabelled_copies_answer_in_their_own_labels() {
+    let base = corpus();
+    let relabelled: Vec<(String, Program)> = base
+        .iter()
+        .map(|(name, p)| {
+            let text = atropos_dsl::print_program(p).replace('@', "@B_");
+            let copy = atropos_dsl::parse(&text).expect("relabelled copy parses");
+            (format!("{name}/B"), copy)
+        })
+        .collect();
+    let programs: Vec<(String, Program)> = base.into_iter().chain(relabelled).collect();
+    let ec = ConsistencyLevel::EventualConsistency;
+    for mode in [DetectMode::Pairs, DetectMode::Triples] {
+        let engine = DetectionEngine::new(2);
+        let mut session = DetectSession::new();
+        let (verdicts, _) = analyse_corpus(&engine, &programs, ec, mode, &mut session);
+        let iso = isolated(&programs, ec, mode, 2);
+        for ((name, _), (got, want)) in programs.iter().zip(verdicts.iter().zip(&iso)) {
+            assert_eq!(&format!("{:?}", got.verdicts), want, "{name} ({mode:?})");
+        }
+    }
+}
