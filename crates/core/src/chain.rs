@@ -354,10 +354,7 @@ fn materialize_via(
 /// is left empty (its maintenance duty moved to the origin site), and any
 /// residual violation is pair-visible.
 pub fn chain_cut(program: &Program, pair: &AccessPair) -> Option<ChainOutcome> {
-    if !matches!(
-        pair.kind,
-        AnomalyKind::ObserverChain | AnomalyKind::FracturedRead | AnomalyKind::WriteSkewCycle
-    ) {
+    if pair.kind.instances() != 3 {
         return None;
     }
     for relay_name in &pair.witnesses {

@@ -984,10 +984,7 @@ type RepairOutcome = (Program, Vec<ValueCorrespondence>, Vec<RepairStep>, DirtyS
 fn try_repair(program: &Program, pair: &AccessPair, config: &RepairConfig) -> Option<RepairOutcome> {
     // Chain anomalies carry their relay in `witnesses` and never fit the
     // pair rules' (c1, c2) shapes — dispatch them to the chain rules.
-    if matches!(
-        pair.kind,
-        AnomalyKind::ObserverChain | AnomalyKind::FracturedRead | AnomalyKind::WriteSkewCycle
-    ) {
+    if pair.kind.instances() == 3 {
         if config.enable_materialize {
             if let Some(out) = crate::chain::materialize_relay(program, pair, config.enable_merge) {
                 return Some(out);

@@ -19,7 +19,7 @@
 //! cached verdict names its commands by **position** (the index within
 //! the named transaction, whose name is part of the fingerprint) and the
 //! detection pass answers it in the labels of whichever program asks
-//! (`to_positions` / `to_labels`). Two programs sharing a transaction
+//! (`to_labels`; the anomaly templates report in positions directly). Two programs sharing a transaction
 //! shape under different labels therefore share the entry but each read
 //! their own labels back. Anything else a rewrite can change (field sets,
 //! filters, schemas, command order) lands in the fingerprint, so a stale
@@ -39,8 +39,8 @@
 //!
 //! # Solver retention
 //!
-//! Besides verdicts, the cache retains each pair's [`PairSolver`] (keyed by
-//! the fingerprint pair), so a pair that is re-queried — e.g. at another
+//! Besides verdicts, the cache retains each pair's [`crate::PairSolver`]
+//! (keyed by the fingerprint pair), so a pair that is re-queried — e.g. at another
 //! consistency level, or after its verdict entry was evicted while its
 //! fingerprint survived — reuses the already-encoded ordering/visibility
 //! matrix and every learnt clause instead of re-encoding from scratch.
@@ -48,7 +48,7 @@
 //! independent mutex-guarded shards keyed by the fingerprint pair, so the
 //! parallel detection engine's workers can take and return solvers
 //! concurrently without a global lock (retained solvers migrate freely
-//! between workers — [`PairState`] is `Send`).
+//! between workers — the retained state is `Send`).
 //!
 //! # Triple verdicts
 //!
@@ -56,8 +56,7 @@
 //! transaction triple's chain-anomaly verdicts under the **canonical
 //! 3-fingerprint** — the three fingerprints in sorted order, so the entry
 //! is orientation-normalized (every role permutation is analysed inside
-//! one entry) — with their own retained [`crate::triple::TripleSolver`]s
-//! in a second sharded map. Triple entries follow the same contracts as
+//! one entry) — with their own retained solvers in a second sharded map. Triple entries follow the same contracts as
 //! pair entries: they hold command positions, liveness sweeps keep an
 //! entry only while all three fingerprints are live, and `invalidate_txns`
 //! evicts by any member transaction's name.
@@ -85,9 +84,9 @@ use atropos_dsl::{CmdLabel, Program};
 use atropos_sat::Lit;
 
 use crate::detect::AccessPair;
-use crate::encode::{ConsistencyLevel, InstanceModel, PairSolver};
+use crate::encode::ConsistencyLevel;
 use crate::model::{summarize_program, CmdSummary, KeySpec, TxnSummary};
-use crate::triple::TripleState;
+use crate::template::SolveState;
 
 /// Canonical fingerprint of one transaction's command summaries: the exact
 /// information the pair encoding and the violation templates consume.
@@ -148,7 +147,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to re-analyse the pair.
     pub misses: u64,
-    /// Misses that nevertheless reused a retained [`PairSolver`] (and its
+    /// Misses that nevertheless reused a retained [`crate::PairSolver`] (and its
     /// encoded clauses and learnt clauses) instead of re-encoding.
     pub solver_reuses: u64,
     /// Entries evicted — by the fingerprint-liveness sweep each
@@ -227,8 +226,8 @@ pub(crate) struct VerdictEntry {
     pub(crate) txn2: String,
     /// Run (see [`VerdictCache::advance_run`]) this entry was inserted in.
     pub(crate) run: u64,
-    /// Raw `analyse_pair` output for this ordered pair (pre-deduplication),
-    /// in positional form (see [`to_positions`]).
+    /// Raw template output for this ordered pair (pre-deduplication), in
+    /// positional form.
     pub(crate) pairs: Vec<AccessPair>,
     /// Proof certificates of the UNSAT queries behind this verdict
     /// (`atropos_proof` blobs); empty unless the analysing engine had
@@ -248,36 +247,11 @@ pub(crate) struct TripleEntry {
     pub(crate) txns: [String; 3],
     /// Run (see [`VerdictCache::advance_run`]) this entry was inserted in.
     pub(crate) run: u64,
-    /// Raw `analyse_triple` output for this triple (pre-deduplication),
-    /// in positional form (see [`to_positions`]).
+    /// Raw template output for this triple (pre-deduplication), in
+    /// positional form.
     pub(crate) pairs: Vec<AccessPair>,
     /// Proof certificates of the UNSAT queries behind this verdict.
     pub(crate) proofs: Vec<Vec<u8>>,
-}
-
-/// Rewrites freshly solved verdicts into the cache's label-free form:
-/// each command label becomes the command's position within its
-/// transaction, as `position(transaction, label)` reports it from the
-/// summaries the verdicts were produced with, and each pair is oriented by
-/// `(transaction, position)`. The stored form then depends only on the
-/// fingerprinted shapes, never on the labels of whichever program solved
-/// them first.
-pub(crate) fn to_positions(
-    pairs: Vec<AccessPair>,
-    position: impl Fn(&str, &CmdLabel) -> usize,
-) -> Vec<AccessPair> {
-    pairs
-        .into_iter()
-        .map(|mut p| {
-            let (pos1, pos2) = (position(&p.txn1, &p.cmd1), position(&p.txn2, &p.cmd2));
-            p.cmd1 = CmdLabel(pos1.to_string());
-            p.cmd2 = CmdLabel(pos2.to_string());
-            if (&p.txn1, pos1) > (&p.txn2, pos2) {
-                swap_sides(&mut p);
-            }
-            p
-        })
-        .collect()
 }
 
 /// Answers positional verdicts in the labels of `asking` (the summaries
@@ -315,38 +289,6 @@ fn swap_sides(p: &mut AccessPair) {
     std::mem::swap(&mut p.txn1, &mut p.txn2);
 }
 
-/// Retained per-pair analysis state: the grounded two-instance model and,
-/// once a query was issued, the incremental solver built on it.
-///
-/// `PairState` is `Send` (a compile-time guarantee pinned below): the
-/// parallel detection engine hands retained states to whichever worker
-/// claims the pair, so a solver built on one thread freely migrates to
-/// another between passes.
-pub(crate) struct PairState {
-    pub(crate) model: InstanceModel,
-    pub(crate) solver: Option<PairSolver>,
-    txns: (String, String),
-}
-
-impl PairState {
-    /// Grounds a fresh analysis state for one ordered transaction pair.
-    pub(crate) fn new(t1: &TxnSummary, t2: &TxnSummary) -> PairState {
-        PairState {
-            model: InstanceModel::new(t1, t2),
-            solver: None,
-            txns: (t1.name.clone(), t2.name.clone()),
-        }
-    }
-}
-
-// The whole retained-state payload must be able to migrate between the
-// engine's workers; a non-Send field sneaking into the solver stack should
-// fail compilation here, not at every use site.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<PairState>();
-};
-
 /// How many independently locked shards a [`ShardedMap`] spreads its
 /// retained states over. Sixteen comfortably exceeds the engine's worker
 /// cap, so two workers rarely contend on one mutex.
@@ -362,11 +304,11 @@ pub(crate) struct ShardedMap<K, V> {
     shards: Vec<Mutex<HashMap<K, V>>>,
 }
 
-/// Retained [`PairState`]s keyed by the ordered fingerprint pair.
-pub(crate) type ShardedStateMap = ShardedMap<(u64, u64), PairState>;
+/// Retained pair states keyed by the ordered fingerprint pair.
+pub(crate) type ShardedStateMap = ShardedMap<[u64; 2], SolveState>;
 
-/// Retained [`TripleState`]s keyed by the canonical (sorted) 3-fingerprint.
-pub(crate) type ShardedTripleMap = ShardedMap<(u64, u64, u64), TripleState>;
+/// Retained triple states keyed by the canonical (sorted) 3-fingerprint.
+pub(crate) type ShardedTripleMap = ShardedMap<[u64; 3], SolveState>;
 
 impl<K: Eq + Hash, V> ShardedMap<K, V> {
     fn new() -> ShardedMap<K, V> {
@@ -423,10 +365,10 @@ type PairPoolKey = (u64, u64, ConsistencyLevel);
 /// **fingerprint-identical** solvers, owned by a
 /// [`crate::DetectionEngine`] and outliving any one [`VerdictCache`].
 ///
-/// Two [`PairSolver`]s built for the same canonical `(fingerprint,
-/// fingerprint, level)` key ground the same [`InstanceModel`] and emit the
-/// same base encoding over the same variable numbering, so lemmas one of
-/// them derived over **base variables only** (see
+/// Two [`crate::PairSolver`]s built for the same canonical `(fingerprint,
+/// fingerprint, level)` key ground the same [`crate::InstanceModel`] and
+/// emit the same base encoding over the same variable numbering, so
+/// lemmas one of them derived over **base variables only** (see
 /// `atropos_sat::Solver::retained_learnts` for the soundness argument) are
 /// valid verbatim in the other. The first solve of a key *publishes* its
 /// retained clauses here — at the engine's serial-order merge point, and
@@ -635,12 +577,11 @@ impl VerdictCache {
         let before = self.verdicts.len() + self.triples.len();
         self.verdicts
             .retain(|_, e| !txns.contains(&e.txn1) && !txns.contains(&e.txn2));
-        self.states
-            .retain(|_, s| !txns.contains(&s.txns.0) && !txns.contains(&s.txns.1));
+        let untouched = |s: &SolveState| s.txns.iter().all(|t| !txns.contains(t));
+        self.states.retain(|_, s| untouched(s));
         self.triples
             .retain(|_, e| e.txns.iter().all(|t| !txns.contains(t)));
-        self.triple_states
-            .retain(|_, s| s.txns.iter().all(|t| !txns.contains(t)));
+        self.triple_states.retain(|_, s| untouched(s));
         let evicted = before - self.verdicts.len() - self.triples.len();
         self.stats.invalidated += evicted as u64;
         evicted
@@ -669,16 +610,14 @@ impl VerdictCache {
         let before = self.verdicts.len() + self.triples.len();
         self.verdicts
             .retain(|k, e| !changed(&e.txn1, k.0) && !changed(&e.txn2, k.1));
-        self.states
-            .retain(|k, s| !changed(&s.txns.0, k.0) && !changed(&s.txns.1, k.1));
+        let kept =
+            |fps: &[u64], s: &SolveState| s.txns.iter().zip(fps).all(|(t, &fp)| !changed(t, fp));
+        self.states.retain(|k, s| kept(k, s));
         self.triples.retain(|k, e| {
             let fps = [k.0, k.1, k.2];
             e.txns.iter().zip(fps).all(|(t, fp)| !changed(t, fp))
         });
-        self.triple_states.retain(|k, s| {
-            let fps = [k.0, k.1, k.2];
-            s.txns.iter().zip(fps).all(|(t, fp)| !changed(t, fp))
-        });
+        self.triple_states.retain(|k, s| kept(k, s));
         let evicted = before - self.verdicts.len() - self.triples.len();
         self.stats.invalidated += evicted as u64;
         evicted
@@ -729,11 +668,11 @@ impl VerdictCache {
         self.verdicts
             .retain(|k, _| live.contains(&k.0) && live.contains(&k.1));
         self.states
-            .retain(|k, _| live.contains(&k.0) && live.contains(&k.1));
+            .retain(|k, _| k.iter().all(|fp| live.contains(fp)));
         self.triples
             .retain(|k, _| live.contains(&k.0) && live.contains(&k.1) && live.contains(&k.2));
         self.triple_states
-            .retain(|k, _| live.contains(&k.0) && live.contains(&k.1) && live.contains(&k.2));
+            .retain(|k, _| k.iter().all(|fp| live.contains(fp)));
         self.session_live = live;
         let evicted = before - self.verdicts.len() - self.triples.len();
         self.stats.invalidated += evicted as u64;
@@ -1241,17 +1180,17 @@ mod tests {
         let ts = summaries(COUNTER);
         let t = &ts[0];
         let map = ShardedStateMap::new();
-        assert!(map.take((1, 2)).is_none());
-        map.store((1, 2), PairState::new(t, t));
-        map.store((3, 4), PairState::new(t, t));
+        assert!(map.take([1, 2]).is_none());
+        map.store([1, 2], SolveState::new(&[t, t]));
+        map.store([3, 4], SolveState::new(&[t, t]));
         // Concurrent take/store from scoped workers — the engine's pattern.
         std::thread::scope(|scope| {
-            let h1 = scope.spawn(|| map.take((1, 2)).is_some());
-            let h2 = scope.spawn(|| map.take((3, 4)).is_some());
+            let h1 = scope.spawn(|| map.take([1, 2]).is_some());
+            let h2 = scope.spawn(|| map.take([3, 4]).is_some());
             assert!(h1.join().unwrap());
             assert!(h2.join().unwrap());
         });
-        assert!(map.take((1, 2)).is_none());
+        assert!(map.take([1, 2]).is_none());
     }
 
     /// Satellite pin: with zero cross-run lookups the ratio is *defined*

@@ -15,6 +15,10 @@
 //!   that a later read of the same transaction no longer sees (a causal
 //!   session violation: the observed state moved backwards).
 //!
+//! The templates are rows of the crate's one template table (the internal
+//! `template` module), beside the chain templates of [`crate::triple`];
+//! detection and witness replay walk the same enumeration.
+//!
 //! Queries are discharged incrementally: one [`PairSolver`] per
 //! transaction pair carries the ordering/visibility encoding across every
 //! pattern and consistency level, and each query travels as an assumption
@@ -30,80 +34,82 @@ use std::time::Instant;
 
 use atropos_dsl::{CmdLabel, Program};
 
-use crate::cache::VerdictCache;
-use crate::encode::{
-    fresh_query, ConsistencyLevel, InstanceModel, PairSolver, VisRequirement,
-};
+use crate::cache::{to_labels, VerdictCache};
+use crate::encode::{fresh_query, ConsistencyLevel, InstanceModel, PairSolver, VisRequirement};
 use crate::engine::{DetectMode, DetectionEngine};
-use crate::model::{summarize_program, CmdKind, TxnSummary};
+use crate::model::summarize_program;
+use crate::template::{analyse, query};
 
-/// The anomaly template a pair was confirmed under.
+/// The anomaly template a pair was confirmed under. The discriminant is
+/// the stable store tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AnomalyKind {
     /// Conflicting read-modify-writes overwrite each other.
-    LostUpdate,
+    LostUpdate = 0,
     /// A transaction's sibling writes are observed non-atomically.
-    DirtyRead,
+    DirtyRead = 1,
     /// A transaction's reads observe foreign commits inconsistently.
-    NonRepeatableRead,
+    NonRepeatableRead = 2,
     /// A transaction's later read loses sight of a foreign commit an
     /// earlier read observed.
-    NonMonotonicRead,
+    NonMonotonicRead = 3,
     /// A causality violation relayed through an observer chain: a third
     /// transaction observes a relay's derived write while missing the
     /// origin write the relay itself observed (triple mode only).
-    ObserverChain,
+    ObserverChain = 4,
     /// A circular write skew over three keys: each transaction's
     /// read-modify-write misses the previous transaction's write, closing
     /// a dependency cycle no pairwise schedule exhibits (triple mode only).
-    WriteSkewCycle,
+    WriteSkewCycle = 5,
     /// A transaction's sibling writes observed fractured across a relay:
     /// one half reaches the observer through a chain, the other half never
     /// arrives (triple mode only).
-    FracturedRead,
+    FracturedRead = 6,
 }
+
+/// The per-kind facts, indexed by store tag: the kind, its display name
+/// and the number of transaction instances its templates span.
+const KINDS: [(AnomalyKind, &str, usize); 7] = [
+    (AnomalyKind::LostUpdate, "lost-update", 2),
+    (AnomalyKind::DirtyRead, "dirty-read", 2),
+    (AnomalyKind::NonRepeatableRead, "non-repeatable-read", 2),
+    (AnomalyKind::NonMonotonicRead, "non-monotonic-read", 2),
+    (AnomalyKind::ObserverChain, "observer-chain", 3),
+    (AnomalyKind::WriteSkewCycle, "write-skew-cycle", 3),
+    (AnomalyKind::FracturedRead, "fractured-read-chain", 3),
+];
+
+// Row `i` of `KINDS` must describe the kind whose store tag is `i`.
+const _: () = {
+    let mut i = 0;
+    while i < KINDS.len() {
+        assert!(KINDS[i].0 as usize == i, "KINDS is indexed by store tag");
+        i += 1;
+    }
+};
 
 impl AnomalyKind {
     /// Stable serialization tag (the `verdict_cache.v2` record payload).
     pub(crate) fn tag(self) -> u8 {
-        match self {
-            AnomalyKind::LostUpdate => 0,
-            AnomalyKind::DirtyRead => 1,
-            AnomalyKind::NonRepeatableRead => 2,
-            AnomalyKind::NonMonotonicRead => 3,
-            AnomalyKind::ObserverChain => 4,
-            AnomalyKind::WriteSkewCycle => 5,
-            AnomalyKind::FracturedRead => 6,
-        }
+        self as u8
     }
 
     /// Inverse of [`AnomalyKind::tag`].
     pub(crate) fn from_tag(tag: u8) -> Option<AnomalyKind> {
-        Some(match tag {
-            0 => AnomalyKind::LostUpdate,
-            1 => AnomalyKind::DirtyRead,
-            2 => AnomalyKind::NonRepeatableRead,
-            3 => AnomalyKind::NonMonotonicRead,
-            4 => AnomalyKind::ObserverChain,
-            5 => AnomalyKind::WriteSkewCycle,
-            6 => AnomalyKind::FracturedRead,
-            _ => return None,
-        })
+        KINDS.get(usize::from(tag)).map(|k| k.0)
+    }
+
+    /// Transaction instances the kind's templates span: 2 for the pair
+    /// templates, 3 for the chain templates of
+    /// [`crate::DetectMode::Triples`].
+    pub fn instances(self) -> usize {
+        KINDS[self as usize].2
     }
 }
 
 impl std::fmt::Display for AnomalyKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            AnomalyKind::LostUpdate => "lost-update",
-            AnomalyKind::DirtyRead => "dirty-read",
-            AnomalyKind::NonRepeatableRead => "non-repeatable-read",
-            AnomalyKind::NonMonotonicRead => "non-monotonic-read",
-            AnomalyKind::ObserverChain => "observer-chain",
-            AnomalyKind::WriteSkewCycle => "write-skew-cycle",
-            AnomalyKind::FracturedRead => "fractured-read-chain",
-        };
-        f.write_str(s)
+        f.write_str(KINDS[*self as usize].1)
     }
 }
 
@@ -328,32 +334,6 @@ pub fn detect_differential(
     }
 }
 
-/// One incremental pattern query against a (lazily created) [`PairSolver`]:
-/// the solver-creation and fresh-equivalent clause accounting shared by the
-/// engine's per-pair solve ([`solve_pair_with_state`]) and the differential
-/// reference ([`detect_reference`]), so the two cannot drift apart.
-fn pair_query(
-    solver: &mut Option<PairSolver>,
-    model: &InstanceModel,
-    level: ConsistencyLevel,
-    reqs: &[VisRequirement],
-    stats: &mut DetectStats,
-    seed: Option<&[Vec<atropos_sat::Lit>]>,
-    proofs: bool,
-) -> bool {
-    let ps = solver.get_or_insert_with(|| {
-        let mut ps = PairSolver::with_proofs(model, proofs);
-        if let Some(seed) = seed {
-            ps.seed_learnts(seed);
-            stats.learnt_seeded += seed.len() as u64;
-        }
-        ps
-    });
-    let r = ps.satisfiable(model, level, reqs);
-    stats.clauses_fresh_equivalent += ps.fresh_equivalent_clauses(level) as u64;
-    r
-}
-
 /// The serial, uncached reference oracle behind [`detect_anomalies_fresh`]
 /// and [`detect_differential`]: every query goes to a fresh solver, and
 /// with `mismatches` also to one incremental [`PairSolver`] per pair, any
@@ -388,7 +368,7 @@ fn detect_reference(
                     let (fresh, s, clauses) = fresh_query(&model, level, &reqs);
                     let r = match mismatches.as_deref_mut() {
                         Some(log) => {
-                            let r = pair_query(
+                            let r = query(
                                 &mut pair_solver,
                                 &model,
                                 level,
@@ -420,7 +400,9 @@ fn detect_reference(
                     memo.insert(reqs, r);
                     r
                 };
-                let pairs = analyse_pair(t1, t2, &model, i <= j, &mut sat);
+                let pairs = analyse(&[t1, t2], &[], &model, i <= j, &mut sat);
+                let pairs =
+                    to_labels(&pairs, &summaries).expect("verdicts name the pair's commands");
                 accumulate(found.get_mut(&level).expect("level registered"), pairs);
             }
             if let Some(ps) = &pair_solver {
@@ -440,7 +422,7 @@ fn detect_reference(
     (by_level, stats)
 }
 
-/// Folds one ordered pair's raw `analyse_pair` output into the per-level
+/// Folds one work item's verdicts (in the program's labels) into the per-level
 /// result map, merging field sets and witnesses of duplicate keys exactly
 /// like repeated template hits within one pass would. Merge order is part
 /// of the oracle's observable behaviour (the first entry of a key provides
@@ -537,71 +519,6 @@ pub fn detect_anomalies_triples(
     (by_level.remove(&level).unwrap_or_default(), stats)
 }
 
-/// Analyses one dirty (cache-missed) ordered pair against its retained (or
-/// freshly grounded) [`crate::cache::PairState`], returning the verdicts in
-/// the cache's positional form ([`crate::cache::to_positions`]), this
-/// pair's [`DetectStats`] delta, and the certificates of its UNSAT
-/// queries. Every label the templates emit comes from the state's own
-/// model, which may have been grounded by another program sharing the
-/// fingerprints, so positions are resolved against that model.
-pub(crate) fn solve_pair_with_state(
-    t1: &TxnSummary,
-    t2: &TxnSummary,
-    symmetric: bool,
-    level: ConsistencyLevel,
-    state: &mut crate::cache::PairState,
-    seed: Option<&[Vec<atropos_sat::Lit>]>,
-    proofs: bool,
-) -> (Vec<AccessPair>, DetectStats, Vec<Vec<u8>>) {
-    let mut stats = DetectStats::default();
-    let clauses_before = state
-        .solver
-        .as_ref()
-        .map(|s| (s.encoded_clauses(), s.solver_stats()));
-    let pairs = {
-        let (model, solver) = (&state.model, &mut state.solver);
-        let mut memo: HashMap<Vec<VisRequirement>, bool> = HashMap::new();
-        let mut sat = |reqs: Vec<VisRequirement>| -> bool {
-            if let Some(&r) = memo.get(&reqs) {
-                stats.memo_hits += 1;
-                return r;
-            }
-            stats.queries += 1;
-            let r = pair_query(solver, model, level, &reqs, &mut stats, seed, proofs);
-            if r {
-                stats.sat_queries += 1;
-            }
-            memo.insert(reqs, r);
-            r
-        };
-        analyse_pair(t1, t2, model, symmetric, &mut sat)
-    };
-    let model = &state.model;
-    let names = [t1.name.as_str(), t2.name.as_str()];
-    let pairs = crate::cache::to_positions(pairs, |txn, label| {
-        (0..2)
-            .filter(|&k| names[k] == txn)
-            .flat_map(|k| &model.cmds[model.starts[k]..model.starts[k + 1]])
-            .find(|c| &c.summary.label == label)
-            .expect("verdict labels name commands of the solved pair")
-            .summary
-            .prog_index
-    });
-    let mut certs = Vec::new();
-    if let Some(ps) = &mut state.solver {
-        // A retained solver's counters are cumulative across calls;
-        // charge this pass only with the delta it caused.
-        let (c0, s0) = clauses_before.unwrap_or_default();
-        let s = ps.solver_stats();
-        stats.conflicts += s.conflicts - s0.conflicts;
-        stats.propagations += s.propagations - s0.propagations;
-        stats.decisions += s.decisions - s0.decisions;
-        stats.clauses_encoded += (ps.encoded_clauses() - c0) as u64;
-        certs = ps.take_certificates();
-    }
-    (pairs, stats, certs)
-}
-
 /// Canonical dedup key of one verdict: labels in sorted order plus the
 /// template. The replay pipeline ([`crate::replay`]) anchors its targeted
 /// witness searches on this key, so it must stay in lock-step with
@@ -613,351 +530,6 @@ pub(crate) fn pair_key(p: &AccessPair) -> (String, String, AnomalyKind) {
         (p.cmd2.0.clone(), p.cmd1.0.clone())
     };
     (a, b, p.kind)
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn make_pair(
-    t1: &TxnSummary,
-    c1: &crate::model::CmdSummary,
-    f1: BTreeSet<String>,
-    t2: &TxnSummary,
-    c2: &crate::model::CmdSummary,
-    f2: BTreeSet<String>,
-    witnesses: BTreeSet<String>,
-    kind: AnomalyKind,
-) -> AccessPair {
-    // Canonical orientation by label for stable dedup.
-    if c1.label.0 <= c2.label.0 {
-        AccessPair {
-            cmd1: c1.label.clone(),
-            fields1: f1,
-            cmd2: c2.label.clone(),
-            fields2: f2,
-            txn1: t1.name.clone(),
-            txn2: t2.name.clone(),
-            witnesses,
-            kind,
-        }
-    } else {
-        AccessPair {
-            cmd1: c2.label.clone(),
-            fields1: f2,
-            cmd2: c1.label.clone(),
-            fields2: f1,
-            txn1: t2.name.clone(),
-            txn2: t1.name.clone(),
-            witnesses,
-            kind,
-        }
-    }
-}
-
-/// Analyses one ordered transaction pair against the query oracle `sat`
-/// (which fixes the consistency level and the solving path).
-/// `run_symmetric` gates the symmetric lost-update template so it runs
-/// once per unordered pair.
-fn analyse_pair(
-    t1: &TxnSummary,
-    t2: &TxnSummary,
-    model: &InstanceModel,
-    run_symmetric: bool,
-    sat: &mut dyn FnMut(Vec<VisRequirement>) -> bool,
-) -> Vec<AccessPair> {
-    let n1 = model.n1;
-    let mut out = Vec::new();
-
-    // ---- Lost update: RMW in both instances on a shared record field. ----
-    if run_symmetric {
-        for &(r1, w1, ref f) in &t1.rmw_pairs() {
-            for &(r2, w2, ref f2) in &t2.rmw_pairs() {
-                if f != f2 || t1.commands[w1].schema != t2.commands[w2].schema {
-                    continue;
-                }
-                // Commands in model coordinates.
-                let (c1, cw1, c2, cw2) = (r1, w1, n1 + r2, n1 + w2);
-                // A record of instance 1's RMW that may alias a record of
-                // instance 2's RMW.
-                let rec1 = model.cmds[c1]
-                    .records
-                    .iter()
-                    .copied()
-                    .find(|r| model.cmds[cw1].records.contains(r));
-                let rec2 = model.cmds[c2]
-                    .records
-                    .iter()
-                    .copied()
-                    .find(|r| model.cmds[cw2].records.contains(r));
-                let (Some(rec1), Some(rec2)) = (rec1, rec2) else { continue };
-                if !model.may_alias_records(rec1, rec2) {
-                    continue;
-                }
-                let (Some(a_w1), Some(a_w2)) = (model.atom(cw1, rec1), model.atom(cw2, rec2))
-                else {
-                    continue;
-                };
-                let reqs = vec![(a_w2, c1, false), (a_w1, c2, false)];
-                if sat(reqs) {
-                    let fs = BTreeSet::from([f.clone()]);
-                    // Labels come from the model, like every other
-                    // template's, so one source names all of them.
-                    out.push(make_pair(
-                        t1,
-                        &model.cmds[c1].summary,
-                        fs.clone(),
-                        t2,
-                        &model.cmds[cw2].summary,
-                        fs.clone(),
-                        BTreeSet::new(),
-                        AnomalyKind::LostUpdate,
-                    ));
-                    out.push(make_pair(
-                        t2,
-                        &model.cmds[c2].summary,
-                        fs.clone(),
-                        t1,
-                        &model.cmds[cw1].summary,
-                        fs,
-                        BTreeSet::new(),
-                        AnomalyKind::LostUpdate,
-                    ));
-                }
-            }
-        }
-    }
-
-    // ---- Dirty read: two writes of instance 1 observed half-way by reads
-    // of instance 2. ----
-    let writes1: Vec<(usize, usize)> = (0..n1)
-        .flat_map(|c| {
-            model.cmds[c]
-                .records
-                .iter()
-                .map(move |&r| (c, r))
-                .collect::<Vec<_>>()
-        })
-        .filter(|&(c, _)| !model.cmds[c].summary.writes.is_empty())
-        .collect();
-    let reads2: Vec<(usize, usize)> = (n1..model.cmds.len())
-        .flat_map(|c| {
-            model.cmds[c]
-                .records
-                .iter()
-                .map(move |&r| (c, r))
-                .collect::<Vec<_>>()
-        })
-        .filter(|&(c, _)| model.cmds[c].summary.kind == CmdKind::Select)
-        .collect();
-
-    for (wi, &(w1, r1)) in writes1.iter().enumerate() {
-        for &(w2, r2) in &writes1[wi + 1..] {
-            for &(d1, dr1) in &reads2 {
-                if !model.may_alias_records(dr1, r1) {
-                    continue;
-                }
-                let f1: BTreeSet<String> = model.cmds[w1]
-                    .summary
-                    .writes
-                    .intersection(&model.cmds[d1].summary.reads)
-                    .cloned()
-                    .collect();
-                if f1.is_empty() {
-                    continue;
-                }
-                for &(d2, dr2) in &reads2 {
-                    if !model.may_alias_records(dr2, r2) {
-                        continue;
-                    }
-                    let f2: BTreeSet<String> = model.cmds[w2]
-                        .summary
-                        .writes
-                        .intersection(&model.cmds[d2].summary.reads)
-                        .cloned()
-                        .collect();
-                    if f2.is_empty() {
-                        continue;
-                    }
-                    let (Some(a1), Some(a2)) = (model.atom(w1, r1), model.atom(w2, r2)) else {
-                        continue;
-                    };
-                    // Either half observed without the other.
-                    let q1 = vec![(a1, d1, true), (a2, d2, false)];
-                    let q2 = vec![(a2, d2, true), (a1, d1, false)];
-                    if sat(q1) || sat(q2) {
-                        out.push(make_pair(
-                            t1,
-                            &model.cmds[w1].summary,
-                            f1.clone(),
-                            t1,
-                            &model.cmds[w2].summary,
-                            f2,
-                            BTreeSet::from([t2.name.clone()]),
-                            AnomalyKind::DirtyRead,
-                        ));
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- Non-repeatable read: two reads of instance 1 observing writes of
-    // instance 2 inconsistently. ----
-    let reads1: Vec<(usize, usize)> = (0..n1)
-        .flat_map(|c| {
-            model.cmds[c]
-                .records
-                .iter()
-                .map(move |&r| (c, r))
-                .collect::<Vec<_>>()
-        })
-        .filter(|&(c, _)| model.cmds[c].summary.kind == CmdKind::Select)
-        .collect();
-    let writes2: Vec<(usize, usize)> = (n1..model.cmds.len())
-        .flat_map(|c| {
-            model.cmds[c]
-                .records
-                .iter()
-                .map(move |&r| (c, r))
-                .collect::<Vec<_>>()
-        })
-        .filter(|&(c, _)| !model.cmds[c].summary.writes.is_empty())
-        .collect();
-
-    for (ri, &(c1, r1)) in reads1.iter().enumerate() {
-        for &(c2, r2) in &reads1[ri..] {
-            if c1 == c2 && r1 == r2 {
-                continue;
-            }
-            for &(d1, dr1) in &writes2 {
-                if !model.may_alias_records(dr1, r1) {
-                    continue;
-                }
-                let f1: BTreeSet<String> = model.cmds[d1]
-                    .summary
-                    .writes
-                    .intersection(&model.cmds[c1].summary.reads)
-                    .cloned()
-                    .collect();
-                if f1.is_empty() {
-                    continue;
-                }
-                for &(d2, dr2) in &writes2 {
-                    if !model.may_alias_records(dr2, r2) {
-                        continue;
-                    }
-                    if d1 == d2 && dr1 == dr2 {
-                        continue;
-                    }
-                    let f2: BTreeSet<String> = model.cmds[d2]
-                        .summary
-                        .writes
-                        .intersection(&model.cmds[c2].summary.reads)
-                        .cloned()
-                        .collect();
-                    if f2.is_empty() {
-                        continue;
-                    }
-                    let (Some(a1), Some(a2)) = (model.atom(d1, r1), model.atom(d2, r2)) else {
-                        continue;
-                    };
-                    let q1 = vec![(a2, c2, true), (a1, c1, false)];
-                    let q2 = vec![(a1, c1, true), (a2, c2, false)];
-                    if sat(q1) || sat(q2) {
-                        out.push(make_pair(
-                            t1,
-                            &model.cmds[c1].summary,
-                            f1,
-                            t1,
-                            &model.cmds[c2].summary,
-                            f2,
-                            BTreeSet::from([t2.name.clone()]),
-                            AnomalyKind::NonRepeatableRead,
-                        ));
-                        break;
-                    }
-                }
-                if out.last().is_some_and(|p| {
-                    p.kind == AnomalyKind::NonRepeatableRead
-                        && (p.cmd1 == model.cmds[c1].summary.label
-                            || p.cmd2 == model.cmds[c1].summary.label)
-                        && (p.cmd1 == model.cmds[c2].summary.label
-                            || p.cmd2 == model.cmds[c2].summary.label)
-                }) {
-                    break;
-                }
-            }
-        }
-    }
-
-    // ---- Read instability on a single foreign write: two program-ordered
-    // reads of instance 1 observing one write atom of instance 2
-    // differently. Seen-late-only is a non-repeatable read; seen-then-lost
-    // is a non-monotonic read — the causal session violation that
-    // distinguishes CC (and RR) from EC. ----
-    for (ri, &(c1, r1)) in reads1.iter().enumerate() {
-        for &(c2, r2) in &reads1[ri + 1..] {
-            if !model.prog_before(c1, c2) {
-                continue;
-            }
-            let mut found_nrr = false;
-            let mut found_nmr = false;
-            for &(d, dr) in &writes2 {
-                if !model.may_alias_records(dr, r1) || !model.may_alias_records(dr, r2) {
-                    continue;
-                }
-                let f1: BTreeSet<String> = model.cmds[d]
-                    .summary
-                    .writes
-                    .intersection(&model.cmds[c1].summary.reads)
-                    .cloned()
-                    .collect();
-                if f1.is_empty() {
-                    continue;
-                }
-                let f2: BTreeSet<String> = model.cmds[d]
-                    .summary
-                    .writes
-                    .intersection(&model.cmds[c2].summary.reads)
-                    .cloned()
-                    .collect();
-                if f2.is_empty() {
-                    continue;
-                }
-                let Some(a) = model.atom(d, dr) else { continue };
-                if !found_nrr && sat(vec![(a, c2, true), (a, c1, false)]) {
-                    out.push(make_pair(
-                        t1,
-                        &model.cmds[c1].summary,
-                        f1.clone(),
-                        t1,
-                        &model.cmds[c2].summary,
-                        f2.clone(),
-                        BTreeSet::from([t2.name.clone()]),
-                        AnomalyKind::NonRepeatableRead,
-                    ));
-                    found_nrr = true;
-                }
-                if !found_nmr && sat(vec![(a, c1, true), (a, c2, false)]) {
-                    out.push(make_pair(
-                        t1,
-                        &model.cmds[c1].summary,
-                        f1,
-                        t1,
-                        &model.cmds[c2].summary,
-                        f2,
-                        BTreeSet::from([t2.name.clone()]),
-                        AnomalyKind::NonMonotonicRead,
-                    ));
-                    found_nmr = true;
-                }
-                if found_nrr && found_nmr {
-                    break;
-                }
-            }
-        }
-    }
-
-    out
 }
 
 #[cfg(test)]

@@ -609,7 +609,9 @@ pub(crate) fn fresh_query(
     (sat, s.stats(), s.num_clauses())
 }
 
-/// An incremental anomaly oracle for one transaction pair.
+/// An incremental anomaly oracle for one transaction pair — or, under its
+/// [`crate::TripleSolver`] alias, one triple: nothing here depends on the
+/// model's instance count.
 ///
 /// The base ordering/visibility encoding is built once; the axioms of each
 /// non-trivial consistency level form an activation-literal-guarded clause

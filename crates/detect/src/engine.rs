@@ -23,10 +23,10 @@
 //!    triples cache an empty verdict without ever grounding a model.
 //! 2. **Solve** (parallel): `std::thread::scope` workers drain each work
 //!    list through an atomic cursor. Each worker takes the item's retained
-//!    state ([`crate::cache::PairState`] / [`crate::triple::TripleState`])
-//!    from the sharded retention maps (states migrate freely between
-//!    workers — they are `Send`), solves it, and returns the state to its
-//!    shard.
+//!    state (the grounded model and its solver) from the sharded
+//!    retention maps (states migrate freely between workers — they are
+//!    `Send`), solves it with the one solve routine pairs and triples
+//!    share, and returns the state to its shard.
 //! 3. **Merge** (serial, deterministic): verdicts are inserted into the
 //!    cache **in plan order**, not in completion order; then every program
 //!    folds its own slots, translating positional verdicts into its own
@@ -45,17 +45,17 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use atropos_dsl::Program;
+use atropos_sat::Lit;
 
 use crate::cache::{
-    to_labels, to_positions, txn_fingerprint, LearntPool, PairState, TripleVerdictKey,
-    VerdictCache, VerdictKey,
+    to_labels, txn_fingerprint, LearntPool, ShardedMap, TripleVerdictKey, VerdictCache, VerdictKey,
 };
 use crate::corpus::CorpusStats;
-use crate::detect::{accumulate, solve_pair_with_state, AccessPair, DetectStats};
+use crate::detect::{accumulate, AccessPair, DetectStats};
 use crate::encode::ConsistencyLevel;
 use crate::model::{summarize_program, TxnSummary};
 use crate::session::DetectSession;
-use crate::triple::{has_candidates, solve_triple_with_state, TripleState};
+use crate::template::{has_candidates, solve, SolveState};
 
 /// Which bounded execution skeleton a detection pass grounds its anomaly
 /// queries over.
@@ -346,7 +346,7 @@ impl DetectionEngine {
 
         // Pairs: solve and merge.
         let publish = self.publishable(
-            pair_items.iter().map(|m| (m.key.0, m.key.1)).collect(),
+            pair_items.iter().map(|m| [m.key.0, m.key.1]).collect(),
             |k| cache.states().contains(k),
             |pool, m| pool.has_pair(m.key.0, m.key.1, m.key.3),
             &pair_items,
@@ -357,8 +357,11 @@ impl DetectionEngine {
         absorb(per_worker, &workers);
         for ((m, o), publish) in pair_items.iter().zip(outcomes).zip(publish) {
             let o = self.merge_outcome(cache, &mut stats.solve, o);
-            if publish {
-                publish_pair_state(cache, self.pool.as_deref(), m.key);
+            if let Some(pool) = self.pool.as_deref().filter(|_| publish) {
+                let (fp1, fp2, _, level) = m.key;
+                publish_state(cache.states(), [fp1, fp2], |c| {
+                    pool.publish_pair(fp1, fp2, level, c)
+                });
             }
             let ts = &sums[m.prog];
             let txns = [ts[m.i].name.as_str(), ts[m.j].name.as_str()];
@@ -408,19 +411,22 @@ impl DetectionEngine {
 
             // Triples: solve and merge.
             let publish = self.publishable(
-                trio_items.iter().map(|m| (m.key.0, m.key.1, m.key.2)).collect(),
+                trio_items.iter().map(|m| [m.key.0, m.key.1, m.key.2]).collect(),
                 |k| cache.triple_states().contains(k),
                 |pool, m| pool.has_triple(&m.key),
                 &trio_items,
             );
             let (outcomes, workers) = run_pool(self.threads, &trio_items, |m| {
-                self.solve_trio(&sums[m.prog], &fps[m.prog], cache, m)
+                self.solve_trio(&sums[m.prog], cache, m)
             });
             absorb(per_worker, &workers);
             for ((m, o), publish) in trio_items.iter().zip(outcomes).zip(publish) {
                 let o = self.merge_outcome(cache, &mut stats.solve, o);
-                if publish {
-                    publish_trio_state(cache, self.pool.as_deref(), m.key);
+                if let Some(pool) = self.pool.as_deref().filter(|_| publish) {
+                    let (fp0, fp1, fp2, _) = m.key;
+                    publish_state(cache.triple_states(), [fp0, fp1, fp2], |c| {
+                        pool.publish_triple(m.key, c)
+                    });
                 }
                 let names = m.idx.map(|x| sums[m.prog][x].name.as_str());
                 cache.insert_triple(m.key, names, o.pairs.clone(), o.proofs);
@@ -453,65 +459,57 @@ impl DetectionEngine {
         (answers, stats)
     }
 
-    /// Solves one dirty pair against its retained (or freshly grounded)
-    /// state, seeding a freshly built solver from the learnt pool.
+    /// Solves one dirty pair (see [`DetectionEngine::solve_item`]).
     fn solve_pair(&self, ts: &[TxnSummary], cache: &VerdictCache, m: &PairItem) -> Outcome {
         let (fp1, fp2, symmetric, level) = m.key;
-        let (t1, t2) = (&ts[m.i], &ts[m.j]);
-        let states = cache.states();
-        let mut state = states.take((fp1, fp2)).unwrap_or_else(|| PairState::new(t1, t2));
-        let solver_reused = state.solver.is_some();
-        // A state without a solver seeds published lemmas at its (lazy)
-        // solver construction; the pool is frozen while the batch runs, so
-        // the seed is the same whichever worker claims this item.
-        let seed = match state.solver {
-            Some(_) => None,
-            None => self.pool.as_deref().and_then(|p| p.pair_seed(fp1, fp2, level)),
-        };
-        let seed = seed.as_deref().map(Vec::as_slice);
-        let (pairs, stats, proofs) =
-            solve_pair_with_state(t1, t2, symmetric, level, &mut state, seed, self.proofs);
-        states.store((fp1, fp2), state);
-        Outcome { pairs, stats, solver_reused, proofs }
+        let seed = || self.pool.as_deref()?.pair_seed(fp1, fp2, level);
+        let pair = [&ts[m.i], &ts[m.j]];
+        self.solve_item(cache.states(), [fp1, fp2], pair, symmetric, level, seed)
     }
 
-    /// The triple sibling of [`DetectionEngine::solve_pair`]. The triple
-    /// templates label their verdicts from `ts`, so positions resolve
-    /// against `ts`.
-    fn solve_trio(
-        &self,
-        ts: &[TxnSummary],
-        fps: &[u64],
-        cache: &VerdictCache,
-        m: &TrioItem,
-    ) -> Outcome {
+    /// Solves one dirty triple, in its canonical orientation (see
+    /// [`DetectionEngine::solve_item`]).
+    fn solve_trio(&self, ts: &[TxnSummary], cache: &VerdictCache, m: &TrioItem) -> Outcome {
+        let (fp0, fp1, fp2, level) = m.key;
+        let seed = || self.pool.as_deref()?.triple_seed(&m.key);
         let trio = m.idx.map(|x| &ts[x]);
-        let state_key = (m.key.0, m.key.1, m.key.2);
-        let states = cache.triple_states();
-        let mut state = states.take(state_key).unwrap_or_else(|| TripleState::new(trio));
-        let solver_reused = state.solver.is_some();
-        let seed = match state.solver {
-            Some(_) => None,
-            None => self.pool.as_deref().and_then(|p| p.triple_seed(&m.key)),
-        };
-        let seed = seed.as_deref().map(Vec::as_slice);
-        let (pairs, stats, proofs) = solve_triple_with_state(
+        self.solve_item(
+            cache.triple_states(),
+            [fp0, fp1, fp2],
             trio,
-            m.idx.map(|x| fps[x]),
-            m.key.3,
-            &mut state,
+            false,
+            level,
             seed,
+        )
+    }
+
+    /// Solves one dirty work item against its retained (or freshly
+    /// grounded) state, keyed by the item's fingerprints in instance order.
+    /// A state without a solver seeds published lemmas at its (lazy)
+    /// solver construction; the pool is frozen while the batch runs, so
+    /// the seed is the same whichever worker claims the item.
+    fn solve_item<const N: usize>(
+        &self,
+        states: &ShardedMap<[u64; N], SolveState>,
+        key: [u64; N],
+        ts: [&TxnSummary; N],
+        symmetric: bool,
+        level: ConsistencyLevel,
+        seed: impl FnOnce() -> Option<Arc<Vec<Vec<Lit>>>>,
+    ) -> Outcome {
+        let mut state = states.take(key).unwrap_or_else(|| SolveState::new(&ts));
+        let solver_reused = state.solver.is_some();
+        let seed = if solver_reused { None } else { seed() };
+        let (pairs, stats, proofs) = solve(
+            &ts,
+            &key,
+            symmetric,
+            level,
+            &mut state,
+            seed.as_deref().map(Vec::as_slice),
             self.proofs,
         );
-        states.store(state_key, state);
-        let pairs = to_positions(pairs, |txn, label| {
-            trio.iter()
-                .filter(|t| t.name == txn)
-                .flat_map(|t| &t.commands)
-                .find(|c| &c.label == label)
-                .expect("verdict labels name commands of the solved triple")
-                .prog_index
-        });
+        states.store(key, state);
         Outcome { pairs, stats, solver_reused, proofs }
     }
 
@@ -588,10 +586,10 @@ struct PairItem {
 
 /// One dirty triple of the work list: the program that planned it first,
 /// the transaction indices in **canonical (fingerprint-sorted)
-/// orientation** — the orientation the cache key, the grounded model, and
-/// any retained [`TripleState`] all share, so a state retained under one
-/// program is never replayed under a differently-ordered sibling — and
-/// the canonical cache key.
+/// orientation** — the orientation the cache key, the grounded model,
+/// any retained state and witness replay all share, so a state retained
+/// under one program is never replayed under a differently-ordered
+/// sibling — and the canonical cache key.
 struct TrioItem {
     prog: usize,
     idx: [usize; 3],
@@ -609,7 +607,7 @@ enum Slot {
 /// Reorders a triple of transaction indices into the canonical
 /// orientation: ascending by fingerprint (ties — only possible between
 /// identical summaries — broken by index, keeping the order total).
-fn canonical_trio(idx: [usize; 3], fps: &[u64]) -> [usize; 3] {
+pub(crate) fn canonical_trio(idx: [usize; 3], fps: &[u64]) -> [usize; 3] {
     let mut c = idx;
     c.sort_unstable_by_key(|&i| (fps[i], i));
     c
@@ -706,34 +704,22 @@ fn absorb(into: &mut Vec<WorkerStats>, batch: &[WorkerStats]) {
     }
 }
 
-/// Publishes the lemmas retained by one pair state's solver (if it built
-/// one) to the engine's pool — called at the serial merge point, after the
-/// batch's workers have all returned their states.
-fn publish_pair_state(cache: &VerdictCache, pool: Option<&LearntPool>, key: VerdictKey) {
-    let Some(pool) = pool else { return };
-    let (fp1, fp2, _, level) = key;
-    if let Some(state) = cache.states().take((fp1, fp2)) {
+/// Publishes the lemmas retained by one state's solver (if it built one)
+/// through `publish` — called at the serial merge point, after the batch's
+/// workers have all returned their states.
+fn publish_state<const N: usize>(
+    states: &ShardedMap<[u64; N], SolveState>,
+    key: [u64; N],
+    publish: impl FnOnce(Vec<Vec<Lit>>),
+) {
+    if let Some(state) = states.take(key) {
         if let Some(ps) = &state.solver {
             let exported = ps.export_learnts();
             if !exported.is_empty() {
-                pool.publish_pair(fp1, fp2, level, exported);
+                publish(exported);
             }
         }
-        cache.states().store((fp1, fp2), state);
-    }
-}
-
-/// The triple sibling of [`publish_pair_state`].
-fn publish_trio_state(cache: &VerdictCache, pool: Option<&LearntPool>, key: TripleVerdictKey) {
-    let Some(pool) = pool else { return };
-    if let Some(state) = cache.triple_states().take((key.0, key.1, key.2)) {
-        if let Some(ts) = &state.solver {
-            let exported = ts.export_learnts();
-            if !exported.is_empty() {
-                pool.publish_triple(key, exported);
-            }
-        }
-        cache.triple_states().store((key.0, key.1, key.2), state);
+        states.store(key, state);
     }
 }
 
@@ -837,7 +823,7 @@ mod tests {
         assert!(session.cache_stats().triple_hits > 0);
     }
 
-    /// A retained `TripleState` is keyed (and grounded) in the canonical
+    /// A retained triple state is keyed (and grounded) in the canonical
     /// fingerprint orientation, so a session shared across two programs
     /// that declare the same three transactions in *different order* must
     /// replay the state correctly — not against reshuffled instance spans.

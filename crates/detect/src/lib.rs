@@ -6,19 +6,27 @@
 //! The paper reduces anomaly detection to the satisfiability of an FOL
 //! formula over transactional dependencies, visibility, and global
 //! timestamps, discharged with Z3. This crate grounds the same queries over
-//! a bounded two-instance execution skeleton and decides them with the
-//! workspace's own CDCL solver (`atropos-sat`):
+//! a bounded two-instance execution skeleton (three instances in
+//! [`DetectMode::Triples`]) and decides them with the workspace's own CDCL
+//! solver (`atropos-sat`):
 //!
 //! * [`model`] — static command summaries (read/write sets, key specs);
 //! * [`encode`] — witness records, atoms, and the CNF encoding of `ord`,
 //!   `vis`, and the per-level axioms (EC / CC / RR / SC), shared by the
 //!   fresh reference path ([`pattern_satisfiable`]) and the incremental
-//!   [`PairSolver`] (one solver per transaction pair, level axioms as
-//!   activation-literal-guarded groups, queries via assumptions);
-//! * [`detect`] — the four violation templates, the public oracle
+//!   [`PairSolver`] (one solver per transaction pair or triple, level
+//!   axioms as activation-literal-guarded groups, queries via
+//!   assumptions);
+//! * [`detect`] — the four pair violation templates, the public oracle
 //!   [`detect_anomalies`] (plus multi-level, instrumented, marked, cached
 //!   and triple variants — all the engine's one pass at one worker), the
 //!   fresh-solver reference and differential runners, and [`DetectStats`];
+//! * [`triple`] — the bounded three-instance mode and its three chain
+//!   templates. All seven templates are rows of one internal table: each
+//!   candidate is data (kind, bound commands, requirement vectors,
+//!   first-hit group) from one lazy enumerator, which one solve routine
+//!   walks for pairs and triples alike and witness replay walks filtered
+//!   by a verdict's anchor;
 //! * [`cache`] — transaction fingerprinting and the [`VerdictCache`]:
 //!   verdicts keyed by fingerprint and stored by command position, so any
 //!   program sharing a transaction shape reads them back in its own
@@ -71,6 +79,7 @@ pub mod engine;
 pub mod model;
 pub mod replay;
 pub mod session;
+pub(crate) mod template;
 pub mod triple;
 
 pub use cache::{

@@ -5,7 +5,7 @@
 //! satisfiable pattern query. The satisfying assignment behind that verdict
 //! is a full bounded execution (an arbitration order over every command
 //! instance and a visibility relation over every atom), which this module
-//! extracts ([`PairSolver::witness`] / [`TripleSolver::witness`]) and
+//! extracts ([`PairSolver::witness`], for two or three instances) and
 //! decodes into an [`atropos_sim::ConcreteSchedule`]: a total order of
 //! per-instance commands with session and replica placement, explicit
 //! replication steps realizing the model's read-from edges, and the
@@ -17,8 +17,9 @@
 //!
 //! Verdicts do not store their requirement vectors (they travel through
 //! the verdict cache and across processes), so the decoder re-derives
-//! them: it re-enumerates exactly the template candidates the detector
-//! enumerates, keeps those whose reported pair matches the verdict's
+//! them: it walks the detector's own template enumeration over the
+//! transaction tuples the engine analysed, oriented as the engine orients
+//! them, keeps the candidates whose reported pair matches the verdict's
 //! canonical key, and asks the solver for a witness of the first
 //! realizable one. The solver is deterministic, so the same verdict always
 //! decodes to the byte-identical schedule.
@@ -38,6 +39,7 @@
 //!   means *suppressed*: no realizable witness of the anomaly survives.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 
 use atropos_dsl::Program;
 use atropos_sim::{
@@ -45,14 +47,12 @@ use atropos_sim::{
     VisibilityCheck,
 };
 
-use crate::cache::txn_fingerprint;
+use crate::cache::{to_labels, txn_fingerprint};
 use crate::detect::{pair_key, AccessPair, AnomalyKind};
 use crate::encode::{ConsistencyLevel, InstanceModel, PairSolver, VisRequirement, WitnessTruth};
+use crate::engine::canonical_trio;
 use crate::model::{summarize_program, CmdKind, TxnSummary};
-use crate::triple::{
-    anomaly as triple_anomaly, collect_candidates, requirements as triple_requirements,
-    TripleModel, TripleSolver,
-};
+use crate::template::for_each_candidate;
 
 /// A realizable witness found for a verdict: the grounded model, the
 /// instance-to-transaction assignment, the requirement vector that was
@@ -62,14 +62,6 @@ struct Found {
     txns: Vec<String>,
     reqs: Vec<VisRequirement>,
     truth: WitnessTruth,
-}
-
-/// One template candidate of a pair search: the queries to try in template
-/// order (first satisfiable one wins) and the verdict(s) the detector
-/// would report for it.
-struct PairCandidate {
-    queries: Vec<Vec<VisRequirement>>,
-    pairs: Vec<AccessPair>,
 }
 
 /// Decodes `verdict` into a concrete schedule on `program`, strictly
@@ -140,20 +132,44 @@ fn decode(
     strict: bool,
 ) -> Option<ConcreteSchedule> {
     let summaries = summarize_program(program);
-    let found = match verdict.kind {
-        AnomalyKind::LostUpdate
-        | AnomalyKind::DirtyRead
-        | AnomalyKind::NonRepeatableRead
-        | AnomalyKind::NonMonotonicRead => {
-            find_pair_witness(&summaries, verdict, level, marked, strict)
-        }
-        AnomalyKind::ObserverChain
-        | AnomalyKind::WriteSkewCycle
-        | AnomalyKind::FracturedRead => {
-            find_triple_witness(&summaries, verdict, level, marked, strict)
-        }
-    }?;
+    let found = tuples(&summaries, verdict).into_iter().find_map(|ts| {
+        let names: Vec<&str> = ts.iter().map(|t| t.name.as_str()).collect();
+        let level = effective_level(level, marked, &names);
+        find_witness(&summaries, &ts, verdict, level, strict)
+    })?;
     Some(build_schedule(found, verdict.kind))
+}
+
+/// The transaction tuples, in instance order, the engine may have analysed
+/// `verdict` under — oriented exactly as the engine orients them. A lost
+/// update anchors its pair across the two instances (either order); the
+/// read-instability templates put both anchors in instance 0 and each
+/// recorded witness in instance 1; a chain anomaly spans its two anchors
+/// plus each recorded witness, in the canonical triple orientation.
+fn tuples<'s>(summaries: &'s [TxnSummary], verdict: &AccessPair) -> Vec<Vec<&'s TxnSummary>> {
+    let pos = |name: &str| summaries.iter().position(|s| s.name == name);
+    let (Some(a), Some(b)) = (pos(&verdict.txn1), pos(&verdict.txn2)) else {
+        return Vec::new();
+    };
+    let witnesses = verdict.witnesses.iter().filter_map(|w| pos(w));
+    let idx: Vec<Vec<usize>> = if verdict.kind == AnomalyKind::LostUpdate {
+        if a == b {
+            vec![vec![a, b]]
+        } else {
+            vec![vec![a, b], vec![b, a]]
+        }
+    } else if verdict.kind.instances() == 2 {
+        witnesses.map(|w| vec![a, w]).collect()
+    } else {
+        let fps: Vec<u64> = summaries.iter().map(txn_fingerprint).collect();
+        witnesses
+            .filter(|&w| a != b && w != a && w != b)
+            .map(|w| canonical_trio([a, b, w], &fps).to_vec())
+            .collect()
+    };
+    idx.into_iter()
+        .map(|t| t.into_iter().map(|i| &summaries[i]).collect())
+        .collect()
 }
 
 /// The detector's AT-SC rule: a tuple whose instances are all marked runs
@@ -170,411 +186,46 @@ fn effective_level(
     }
 }
 
-/// Does a candidate's reported pair satisfy the anchor?
-fn anchored(verdict: &AccessPair, produced: &AccessPair, strict: bool) -> bool {
-    if strict {
-        pair_key(produced) == pair_key(verdict)
-    } else {
-        produced.kind == verdict.kind
-    }
-}
-
-fn find_pair_witness(
+/// Walks the detector's template enumeration over one transaction tuple,
+/// keeping the candidates anchored on `verdict` — strictly, those that
+/// report the verdict's exact command labels; loosely, any candidate of its
+/// kind — and returns the first realizable one's witness. One solver
+/// answers every query of the tuple, so the search is deterministic.
+fn find_witness(
     summaries: &[TxnSummary],
+    ts: &[&TxnSummary],
     verdict: &AccessPair,
     level: ConsistencyLevel,
-    marked: &BTreeSet<String>,
     strict: bool,
 ) -> Option<Found> {
-    let by_name = |n: &str| summaries.iter().find(|s| s.name == n);
-    // The (instance 0, instance 1) assignments the detector could have
-    // analysed this verdict under: lost update anchors its pair across the
-    // two instances (either orientation), the read-instability templates
-    // put both anchor commands in instance 0 and the interfering
-    // transaction — recorded as a witness — in instance 1.
-    let orderings: Vec<(&TxnSummary, &TxnSummary)> = match verdict.kind {
-        AnomalyKind::LostUpdate => {
-            let s1 = by_name(&verdict.txn1)?;
-            let s2 = by_name(&verdict.txn2)?;
-            if verdict.txn1 == verdict.txn2 {
-                vec![(s1, s2)]
-            } else {
-                vec![(s1, s2), (s2, s1)]
+    let fps: Vec<u64> = ts.iter().map(|t| txn_fingerprint(t)).collect();
+    let model = InstanceModel::new_multi(ts);
+    let mut solver: Option<PairSolver> = None;
+    let mut found = None;
+    let _ = for_each_candidate(ts, &fps, &model, true, &mut |cand| {
+        let anchored = cand.kind() == verdict.kind
+            && (!strict
+                || to_labels(&cand.reports(&model, ts), summaries)
+                    .is_some_and(|ps| ps.iter().any(|p| pair_key(p) == pair_key(verdict))));
+        if !anchored {
+            return ControlFlow::Continue(false);
+        }
+        for reqs in cand.queries(&model).unwrap_or_default() {
+            let solver = solver.get_or_insert_with(|| PairSolver::new(&model));
+            if let Some(truth) = solver.witness(&model, level, &reqs) {
+                found = Some((reqs, truth));
+                return ControlFlow::Break(());
             }
         }
-        _ => {
-            let s1 = by_name(&verdict.txn1)?;
-            verdict
-                .witnesses
-                .iter()
-                .filter_map(|w| Some((s1, by_name(w)?)))
-                .collect()
-        }
-    };
-    for (t1, t2) in orderings {
-        let model = InstanceModel::new(t1, t2);
-        let eff = effective_level(level, marked, &[&t1.name, &t2.name]);
-        let mut solver = PairSolver::new(&model);
-        for cand in pair_candidates(verdict.kind, t1, t2, &model) {
-            if !cand.pairs.iter().any(|p| anchored(verdict, p, strict)) {
-                continue;
-            }
-            for reqs in cand.queries {
-                if let Some(truth) = solver.witness(&model, eff, &reqs) {
-                    return Some(Found {
-                        model,
-                        txns: vec![t1.name.clone(), t2.name.clone()],
-                        reqs,
-                        truth,
-                    });
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Re-enumerates the pair template candidates of one kind, mirroring the
-/// enumeration order of the detector's `analyse_pair` — without the
-/// first-hit breaks (anchor matching replaces them) and without issuing
-/// queries (the caller solves the matching candidates).
-fn pair_candidates(
-    kind: AnomalyKind,
-    t1: &TxnSummary,
-    t2: &TxnSummary,
-    model: &InstanceModel,
-) -> Vec<PairCandidate> {
-    let n1 = model.n1;
-    let mut out = Vec::new();
-
-    let cmd_records = |range: std::ops::Range<usize>| -> Vec<(usize, usize)> {
-        range
-            .flat_map(|c| {
-                model.cmds[c]
-                    .records
-                    .iter()
-                    .map(move |&r| (c, r))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
-
-    match kind {
-        AnomalyKind::LostUpdate => {
-            for &(r1, w1, ref f) in &t1.rmw_pairs() {
-                for &(r2, w2, ref f2) in &t2.rmw_pairs() {
-                    if f != f2 || t1.commands[w1].schema != t2.commands[w2].schema {
-                        continue;
-                    }
-                    let (c1, cw1, c2, cw2) = (r1, w1, n1 + r2, n1 + w2);
-                    let rec1 = model.cmds[c1]
-                        .records
-                        .iter()
-                        .copied()
-                        .find(|r| model.cmds[cw1].records.contains(r));
-                    let rec2 = model.cmds[c2]
-                        .records
-                        .iter()
-                        .copied()
-                        .find(|r| model.cmds[cw2].records.contains(r));
-                    let (Some(rec1), Some(rec2)) = (rec1, rec2) else { continue };
-                    if !model.may_alias_records(rec1, rec2) {
-                        continue;
-                    }
-                    let (Some(a_w1), Some(a_w2)) =
-                        (model.atom(cw1, rec1), model.atom(cw2, rec2))
-                    else {
-                        continue;
-                    };
-                    let fs = BTreeSet::from([f.clone()]);
-                    out.push(PairCandidate {
-                        queries: vec![vec![(a_w2, c1, false), (a_w1, c2, false)]],
-                        pairs: vec![
-                            crate::detect::make_pair(
-                                t1,
-                                &t1.commands[r1],
-                                fs.clone(),
-                                t2,
-                                &t2.commands[w2],
-                                fs.clone(),
-                                BTreeSet::new(),
-                                AnomalyKind::LostUpdate,
-                            ),
-                            crate::detect::make_pair(
-                                t2,
-                                &t2.commands[r2],
-                                fs.clone(),
-                                t1,
-                                &t1.commands[w1],
-                                fs,
-                                BTreeSet::new(),
-                                AnomalyKind::LostUpdate,
-                            ),
-                        ],
-                    });
-                }
-            }
-        }
-        AnomalyKind::DirtyRead => {
-            let writes1: Vec<(usize, usize)> = cmd_records(0..n1)
-                .into_iter()
-                .filter(|&(c, _)| !model.cmds[c].summary.writes.is_empty())
-                .collect();
-            let reads2: Vec<(usize, usize)> = cmd_records(n1..model.cmds.len())
-                .into_iter()
-                .filter(|&(c, _)| model.cmds[c].summary.kind == CmdKind::Select)
-                .collect();
-            for (wi, &(w1, r1)) in writes1.iter().enumerate() {
-                for &(w2, r2) in &writes1[wi + 1..] {
-                    for &(d1, dr1) in &reads2 {
-                        if !model.may_alias_records(dr1, r1) {
-                            continue;
-                        }
-                        let f1: BTreeSet<String> = model.cmds[w1]
-                            .summary
-                            .writes
-                            .intersection(&model.cmds[d1].summary.reads)
-                            .cloned()
-                            .collect();
-                        if f1.is_empty() {
-                            continue;
-                        }
-                        for &(d2, dr2) in &reads2 {
-                            if !model.may_alias_records(dr2, r2) {
-                                continue;
-                            }
-                            let f2: BTreeSet<String> = model.cmds[w2]
-                                .summary
-                                .writes
-                                .intersection(&model.cmds[d2].summary.reads)
-                                .cloned()
-                                .collect();
-                            if f2.is_empty() {
-                                continue;
-                            }
-                            let (Some(a1), Some(a2)) =
-                                (model.atom(w1, r1), model.atom(w2, r2))
-                            else {
-                                continue;
-                            };
-                            out.push(PairCandidate {
-                                queries: vec![
-                                    vec![(a1, d1, true), (a2, d2, false)],
-                                    vec![(a2, d2, true), (a1, d1, false)],
-                                ],
-                                pairs: vec![crate::detect::make_pair(
-                                    t1,
-                                    &model.cmds[w1].summary,
-                                    f1.clone(),
-                                    t1,
-                                    &model.cmds[w2].summary,
-                                    f2,
-                                    BTreeSet::from([t2.name.clone()]),
-                                    AnomalyKind::DirtyRead,
-                                )],
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        AnomalyKind::NonRepeatableRead | AnomalyKind::NonMonotonicRead => {
-            let reads1: Vec<(usize, usize)> = cmd_records(0..n1)
-                .into_iter()
-                .filter(|&(c, _)| model.cmds[c].summary.kind == CmdKind::Select)
-                .collect();
-            let writes2: Vec<(usize, usize)> = cmd_records(n1..model.cmds.len())
-                .into_iter()
-                .filter(|&(c, _)| !model.cmds[c].summary.writes.is_empty())
-                .collect();
-            // Two-writes instability (non-repeatable read only).
-            if kind == AnomalyKind::NonRepeatableRead {
-                for (ri, &(c1, r1)) in reads1.iter().enumerate() {
-                    for &(c2, r2) in &reads1[ri..] {
-                        if c1 == c2 && r1 == r2 {
-                            continue;
-                        }
-                        for &(d1, dr1) in &writes2 {
-                            if !model.may_alias_records(dr1, r1) {
-                                continue;
-                            }
-                            let f1: BTreeSet<String> = model.cmds[d1]
-                                .summary
-                                .writes
-                                .intersection(&model.cmds[c1].summary.reads)
-                                .cloned()
-                                .collect();
-                            if f1.is_empty() {
-                                continue;
-                            }
-                            for &(d2, dr2) in &writes2 {
-                                if !model.may_alias_records(dr2, r2) {
-                                    continue;
-                                }
-                                if d1 == d2 && dr1 == dr2 {
-                                    continue;
-                                }
-                                let f2: BTreeSet<String> = model.cmds[d2]
-                                    .summary
-                                    .writes
-                                    .intersection(&model.cmds[c2].summary.reads)
-                                    .cloned()
-                                    .collect();
-                                if f2.is_empty() {
-                                    continue;
-                                }
-                                let (Some(a1), Some(a2)) =
-                                    (model.atom(d1, r1), model.atom(d2, r2))
-                                else {
-                                    continue;
-                                };
-                                out.push(PairCandidate {
-                                    queries: vec![
-                                        vec![(a2, c2, true), (a1, c1, false)],
-                                        vec![(a1, c1, true), (a2, c2, false)],
-                                    ],
-                                    pairs: vec![crate::detect::make_pair(
-                                        t1,
-                                        &model.cmds[c1].summary,
-                                        f1.clone(),
-                                        t1,
-                                        &model.cmds[c2].summary,
-                                        f2,
-                                        BTreeSet::from([t2.name.clone()]),
-                                        AnomalyKind::NonRepeatableRead,
-                                    )],
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            // Single-write instability: the seen-late orientation is a
-            // non-repeatable read, the seen-then-lost orientation a
-            // non-monotonic read.
-            for (ri, &(c1, r1)) in reads1.iter().enumerate() {
-                for &(c2, r2) in &reads1[ri + 1..] {
-                    if !model.prog_before(c1, c2) {
-                        continue;
-                    }
-                    for &(d, dr) in &writes2 {
-                        if !model.may_alias_records(dr, r1) || !model.may_alias_records(dr, r2)
-                        {
-                            continue;
-                        }
-                        let f1: BTreeSet<String> = model.cmds[d]
-                            .summary
-                            .writes
-                            .intersection(&model.cmds[c1].summary.reads)
-                            .cloned()
-                            .collect();
-                        if f1.is_empty() {
-                            continue;
-                        }
-                        let f2: BTreeSet<String> = model.cmds[d]
-                            .summary
-                            .writes
-                            .intersection(&model.cmds[c2].summary.reads)
-                            .cloned()
-                            .collect();
-                        if f2.is_empty() {
-                            continue;
-                        }
-                        let Some(a) = model.atom(d, dr) else { continue };
-                        let query = if kind == AnomalyKind::NonRepeatableRead {
-                            vec![(a, c2, true), (a, c1, false)]
-                        } else {
-                            vec![(a, c1, true), (a, c2, false)]
-                        };
-                        out.push(PairCandidate {
-                            queries: vec![query],
-                            pairs: vec![crate::detect::make_pair(
-                                t1,
-                                &model.cmds[c1].summary,
-                                f1,
-                                t1,
-                                &model.cmds[c2].summary,
-                                f2,
-                                BTreeSet::from([t2.name.clone()]),
-                                kind,
-                            )],
-                        });
-                    }
-                }
-            }
-        }
-        _ => unreachable!("triple kinds are handled by find_triple_witness"),
-    }
-    out
-}
-
-fn find_triple_witness(
-    summaries: &[TxnSummary],
-    verdict: &AccessPair,
-    level: ConsistencyLevel,
-    marked: &BTreeSet<String>,
-    strict: bool,
-) -> Option<Found> {
-    for w in &verdict.witnesses {
-        let names = BTreeSet::from([
-            verdict.txn1.as_str(),
-            verdict.txn2.as_str(),
-            w.as_str(),
-        ]);
-        if names.len() != 3 {
-            continue;
-        }
-        // Summaries in program order, matching the engine's enumeration.
-        let trio: Vec<&TxnSummary> = summaries
-            .iter()
-            .filter(|s| names.contains(s.name.as_str()))
-            .collect();
-        if trio.len() != 3 {
-            continue;
-        }
-        // All three rotations of the trio: the write-skew enumeration pins
-        // the cycle's first role to instance 0 (rotations of a cycle are
-        // deduplicated), so the engine's reported `txn1` depends on which
-        // transaction its canonical orientation put first — rotating here
-        // guarantees every transaction gets a turn at instance 0 and the
-        // anchor can match whatever orientation produced the verdict.
-        for rot in 0..3 {
-            let ts = [trio[rot], trio[(rot + 1) % 3], trio[(rot + 2) % 3]];
-            let fps = [
-                txn_fingerprint(ts[0]),
-                txn_fingerprint(ts[1]),
-                txn_fingerprint(ts[2]),
-            ];
-            let eff = effective_level(
-                level,
-                marked,
-                &[&ts[0].name, &ts[1].name, &ts[2].name],
-            );
-            let mut state: Option<(TripleModel, TripleSolver)> = None;
-            for (_, cand) in collect_candidates(ts, fps, usize::MAX) {
-                let produced = triple_anomaly(ts, &cand);
-                if !anchored(verdict, &produced, strict) {
-                    continue;
-                }
-                let (tm, solver) = state.get_or_insert_with(|| {
-                    let tm = TripleModel::new(ts[0], ts[1], ts[2]);
-                    let solver = TripleSolver::new(&tm);
-                    (tm, solver)
-                });
-                let Some(reqs) = triple_requirements(tm, &cand) else { continue };
-                if let Some(truth) = solver.witness(tm, eff, &reqs) {
-                    let model = state.expect("state grounded above").0.model;
-                    return Some(Found {
-                        model,
-                        txns: ts.iter().map(|t| t.name.clone()).collect(),
-                        reqs,
-                        truth,
-                    });
-                }
-            }
-        }
-    }
-    None
+        ControlFlow::Continue(false)
+    });
+    let (reqs, truth) = found?;
+    Some(Found {
+        txns: ts.iter().map(|t| t.name.clone()).collect(),
+        model,
+        reqs,
+        truth,
+    })
 }
 
 /// Union-find over witness-record indices: requirement-involved record

@@ -12,13 +12,14 @@
 //!   the same multi-instance builder as the pair model
 //!   ([`InstanceModel::new_multi`]), so `ord`/`vis` and every per-level
 //!   axiom group generalize without a second encoder;
-//! * [`TripleSolver`] — the incremental solver for one triple: a thin
-//!   wrapper over the assumption-based [`PairSolver`] machinery (lazily
-//!   installed, activation-literal-guarded level groups, queries via
-//!   assumptions, learnt-clause retention);
-//! * three **chain templates**, each placing visibility requirements on
-//!   commands of all three instances — so none of them is expressible in
-//!   the two-instance skeleton *by construction*:
+//! * [`TripleSolver`] — a name for the one instance-count-generic
+//!   [`PairSolver`] (lazily installed, activation-literal-guarded level
+//!   groups, queries via assumptions, learnt-clause retention) when it
+//!   solves a triple;
+//! * three **chain templates**, rows of the crate's one template table
+//!   beside the four pair templates, each placing visibility requirements
+//!   on commands of all three instances — so none of them is expressible
+//!   in the two-instance skeleton *by construction*:
 //!
 //!   1. **Observer chain** (relayed causality): `T_a` writes; `T_b` reads
 //!      that write and derives a write of its own; `T_c` observes the
@@ -44,8 +45,10 @@
 //! are skipped; the write-skew cycle pins its first role to the first
 //! instance, since rotations describe the same cycle). Candidate tuples are
 //! enumerated statically from the command summaries; a triple with no
-//! candidate never grounds a model or touches a solver. Per (template,
-//! role) the search stops at the **first satisfiable witness**, the
+//! candidate never grounds a model or touches a solver. The engine, the
+//! cache key and replay all ground a triple in one **canonical
+//! orientation** (ascending fingerprint, ties by program position). Per
+//! (template, role) the search stops at the **first satisfiable witness**, the
 //! nested-loop enumeration keeps one tuple per outermost anchor command,
 //! and each candidate's witness record pair is the first aliasing pair in
 //! model order — deliberate bounds (part of the template definitions, like
@@ -53,18 +56,11 @@
 //! enumeration for a query budget within a small multiple of the pair
 //! pass.
 
-use std::collections::BTreeSet;
+use crate::encode::{InstanceModel, PairSolver};
+use crate::model::TxnSummary;
 
-use crate::detect::{make_pair, AccessPair, AnomalyKind};
-use crate::encode::{ConsistencyLevel, InstanceModel, PairSolver, VisRequirement};
-use crate::model::{may_alias, CmdKind, CmdSummary, TxnSummary};
-use atropos_sat::SolverStats;
-
-/// The grounded three-instance execution skeleton for a transaction triple.
-///
-/// A thin, purpose-named wrapper over the instance-count-generic
-/// [`InstanceModel`]: the triple templates address commands as
-/// `(instance, local index)` pairs through [`TripleModel::cmd`].
+/// The grounded three-instance execution skeleton for a transaction triple:
+/// [`InstanceModel::new_multi`] over three instances, which it derefs to.
 #[derive(Debug, Clone)]
 pub struct TripleModel {
     /// The underlying three-instance model.
@@ -78,539 +74,31 @@ impl TripleModel {
             model: InstanceModel::new_multi(&[t0, t1, t2]),
         }
     }
+}
 
-    /// Global command index of instance `inst`'s `local`-th command.
-    fn cmd(&self, c: Cmd) -> usize {
-        self.model.cmd_index(c.inst, c.local)
-    }
+impl std::ops::Deref for TripleModel {
+    type Target = InstanceModel;
 
-    /// The atom of `w`'s events on the first of its witness records that
-    /// may alias a record `reader` touches — the record pair a chain
-    /// requirement is grounded on (see the module docs' cost model).
-    fn write_atom(&self, w: Cmd, reader: Cmd) -> Option<usize> {
-        let (wm, rm) = (self.cmd(w), self.cmd(reader));
-        for &rw in &self.model.cmds[wm].records {
-            if self.model.cmds[rm]
-                .records
-                .iter()
-                .any(|&dr| self.model.may_alias_records(rw, dr))
-            {
-                return self.model.atom(wm, rw);
-            }
-        }
-        None
+    fn deref(&self) -> &InstanceModel {
+        &self.model
     }
 }
 
-/// An incremental anomaly oracle for one transaction triple: the
-/// [`PairSolver`] machinery (shared base encoding, guarded level groups,
-/// assumption-dispatched queries) over the three-instance skeleton.
-pub struct TripleSolver {
-    inner: PairSolver,
-}
-
-impl TripleSolver {
-    /// Builds the level-independent three-instance encoding; each level's
-    /// axiom group is added lazily on first query.
-    pub fn new(tm: &TripleModel) -> TripleSolver {
-        TripleSolver::with_proofs(tm, false)
-    }
-
-    /// Like [`TripleSolver::new`], but with `proofs` on every UNSAT chain
-    /// query yields a checkable certificate blob (see
-    /// [`PairSolver::with_proofs`]).
-    pub fn with_proofs(tm: &TripleModel, proofs: bool) -> TripleSolver {
-        TripleSolver {
-            inner: PairSolver::with_proofs(&tm.model, proofs),
-        }
-    }
-
-    /// Drains the certificates captured since the last call (see
-    /// [`PairSolver::take_certificates`]).
-    pub fn take_certificates(&mut self) -> Vec<Vec<u8>> {
-        self.inner.take_certificates()
-    }
-
-    /// Decides one chain query under `level` via assumptions. `tm` must be
-    /// the very model this solver was built from.
-    pub fn satisfiable(
-        &mut self,
-        tm: &TripleModel,
-        level: ConsistencyLevel,
-        requirements: &[VisRequirement],
-    ) -> bool {
-        self.inner.satisfiable(&tm.model, level, requirements)
-    }
-
-    /// Decides the same query as [`TripleSolver::satisfiable`] and, when
-    /// satisfiable, decodes the solver's model into the three-instance
-    /// [`crate::encode::WitnessTruth`] (see [`PairSolver::witness`]).
-    pub fn witness(
-        &mut self,
-        tm: &TripleModel,
-        level: ConsistencyLevel,
-        requirements: &[VisRequirement],
-    ) -> Option<crate::encode::WitnessTruth> {
-        self.inner.witness(&tm.model, level, requirements)
-    }
-
-    /// Clauses this triple's shared encoding holds (excluding learnt ones).
-    pub fn encoded_clauses(&self) -> usize {
-        self.inner.encoded_clauses()
-    }
-
-    /// Clauses a fresh per-query encoding would have emitted for `level`.
-    pub fn fresh_equivalent_clauses(&self, level: ConsistencyLevel) -> usize {
-        self.inner.fresh_equivalent_clauses(level)
-    }
-
-    /// Cumulative statistics of the underlying solver.
-    pub fn solver_stats(&self) -> SolverStats {
-        self.inner.solver_stats()
-    }
-
-    /// The triple's stored CNF (see [`PairSolver::problem_clauses`]).
-    pub fn problem_clauses(&self) -> Vec<Vec<atropos_sat::Lit>> {
-        self.inner.problem_clauses()
-    }
-
-    /// Imports lemmas published by a fingerprint-identical triple solve
-    /// (see [`PairSolver::seed_learnts`]).
-    pub(crate) fn seed_learnts(&mut self, clauses: &[Vec<atropos_sat::Lit>]) -> usize {
-        self.inner.seed_learnts(clauses)
-    }
-
-    /// Exports this solver's base-variable-only lemmas (see
-    /// [`PairSolver::export_learnts`]).
-    pub(crate) fn export_learnts(&self) -> Vec<Vec<atropos_sat::Lit>> {
-        self.inner.export_learnts()
-    }
-}
-
-// Retained triple solvers migrate between the detection engine's workers
-// exactly like pair solvers do.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<TripleSolver>();
-    assert_send::<TripleModel>();
-};
-
-/// A command addressed as (instance, local index) — local index doubles as
-/// the program position, so `a.local < b.local` is program order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Cmd {
-    inst: usize,
-    local: usize,
-}
-
-/// One statically enumerated chain-template candidate, with its commands
-/// bound to model instances by the role permutation that produced it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Candidate {
-    /// Observer chain: origin write, relay read, relay write, observer's
-    /// chain read, observer's missing read.
-    Chain { w1: Cmd, r2: Cmd, w2: Cmd, r3a: Cmd, r3b: Cmd },
-    /// Write-skew cycle: the (read, write) dependency pair of each role.
-    Skew { r: [Cmd; 3], w: [Cmd; 3] },
-    /// Fractured-read chain: the atomic write pair, the relay's read and
-    /// write, the observer's chain read and missing read.
-    Fractured { wa1: Cmd, wa2: Cmd, rb: Cmd, wb: Cmd, rc1: Cmd, rc2: Cmd },
-}
-
-impl Candidate {
-    /// Discriminant for the first-witness-per-(template, role) bound.
-    fn template(&self) -> u8 {
-        match self {
-            Candidate::Chain { .. } => 0,
-            Candidate::Skew { .. } => 1,
-            Candidate::Fractured { .. } => 2,
-        }
-    }
-}
-
-/// All six role permutations of three instances, in lexicographic order.
-const PERMS: [[usize; 3]; 6] = [
-    [0, 1, 2],
-    [0, 2, 1],
-    [1, 0, 2],
-    [1, 2, 0],
-    [2, 0, 1],
-    [2, 1, 0],
-];
-
-fn is_select(c: &CmdSummary) -> bool {
-    c.kind == CmdKind::Select
-}
-
-fn is_write(c: &CmdSummary) -> bool {
-    !c.writes.is_empty()
-}
-
-/// Does `r` read a field `w` writes, on a possibly shared record?
-fn observes(w: &CmdSummary, r: &CmdSummary) -> bool {
-    w.schema == r.schema
-        && may_alias(&w.key, &r.key)
-        && w.writes.intersection(&r.reads).next().is_some()
-}
-
-/// Does `w`'s assigned data flow from the row `r` bound?
-fn data_dep(r: &CmdSummary, w: &CmdSummary) -> bool {
-    r.bound_var.as_ref().is_some_and(|v| w.uses_vars.contains(v))
-}
-
-/// The (read, write) data-dependency pairs of one instance: a select whose
-/// bound row flows into a later write — the per-instance edge of the
-/// write-skew cycle.
-fn dep_pairs(t: &TxnSummary, inst: usize) -> Vec<(Cmd, Cmd)> {
-    let mut out = Vec::new();
-    for (ri, r) in t.commands.iter().enumerate() {
-        if !is_select(r) {
-            continue;
-        }
-        for (wi, w) in t.commands.iter().enumerate() {
-            if wi > ri && is_write(w) && data_dep(r, w) {
-                out.push((Cmd { inst, local: ri }, Cmd { inst, local: wi }));
-            }
-        }
-    }
-    out
-}
-
-/// Statically enumerates every chain-template candidate of a transaction
-/// triple (summaries in model instance order), stopping at `cap` — the
-/// prefilter passes `cap = 1` to decide whether the triple is worth
-/// grounding at all. Role permutations equivalent under equal fingerprints
-/// are visited once.
-pub(crate) fn collect_candidates(
-    ts: [&TxnSummary; 3],
-    fps: [u64; 3],
-    cap: usize,
-) -> Vec<(u8, Candidate)> {
-    let mut out: Vec<(u8, Candidate)> = Vec::new();
-    let mut seen: Vec<[u64; 3]> = Vec::new();
-    for (pi, perm) in PERMS.iter().enumerate() {
-        let shape = [fps[perm[0]], fps[perm[1]], fps[perm[2]]];
-        if seen.contains(&shape) {
-            continue;
-        }
-        seen.push(shape);
-        let (a, b, c) = (perm[0], perm[1], perm[2]);
-        let (ta, tb, tc) = (ts[a], ts[b], ts[c]);
-        let pi = pi as u8;
-
-        // ---- Observer chain. ----
-        'chain: for (i1, w1) in ta.commands.iter().enumerate() {
-            if !is_write(w1) {
-                continue;
-            }
-            for (i2, r2) in tb.commands.iter().enumerate() {
-                if !is_select(r2) || !observes(w1, r2) {
-                    continue;
-                }
-                for (i3, w2) in tb.commands.iter().enumerate() {
-                    if i3 <= i2 || !is_write(w2) || !data_dep(r2, w2) {
-                        continue;
-                    }
-                    for (i4, r3a) in tc.commands.iter().enumerate() {
-                        if !is_select(r3a) || !observes(w2, r3a) {
-                            continue;
-                        }
-                        for (i5, r3b) in tc.commands.iter().enumerate() {
-                            if i5 <= i4 || !is_select(r3b) || !observes(w1, r3b) {
-                                continue;
-                            }
-                            out.push((
-                                pi,
-                                Candidate::Chain {
-                                    w1: Cmd { inst: a, local: i1 },
-                                    r2: Cmd { inst: b, local: i2 },
-                                    w2: Cmd { inst: b, local: i3 },
-                                    r3a: Cmd { inst: c, local: i4 },
-                                    r3b: Cmd { inst: c, local: i5 },
-                                },
-                            ));
-                            if out.len() >= cap {
-                                return out;
-                            }
-                            continue 'chain;
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- Circular write skew: role A is pinned to the first instance
-        // of the permutation pair (0, x, y) — rotations of a cycle are the
-        // same cycle, so only the two non-rotated permutations run it. ----
-        if a == 0 {
-            let (da, db, dc) = (dep_pairs(ta, a), dep_pairs(tb, b), dep_pairs(tc, c));
-            for &(r_a, w_a) in &da {
-                for &(r_b, w_b) in &db {
-                    if !observes(&ta.commands[w_a.local], &tb.commands[r_b.local]) {
-                        continue;
-                    }
-                    for &(r_c, w_c) in &dc {
-                        if !observes(&tb.commands[w_b.local], &tc.commands[r_c.local])
-                            || !observes(&tc.commands[w_c.local], &ta.commands[r_a.local])
-                        {
-                            continue;
-                        }
-                        out.push((
-                            pi,
-                            Candidate::Skew {
-                                r: [r_a, r_b, r_c],
-                                w: [w_a, w_b, w_c],
-                            },
-                        ));
-                        if out.len() >= cap {
-                            return out;
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- Fractured-read chain. ----
-        'fractured: for (i1, wa1) in ta.commands.iter().enumerate() {
-            if !is_write(wa1) {
-                continue;
-            }
-            for (i2, wa2) in ta.commands.iter().enumerate() {
-                if i2 == i1 || !is_write(wa2) {
-                    continue;
-                }
-                for (i3, rb) in tb.commands.iter().enumerate() {
-                    if !is_select(rb) || !observes(wa1, rb) {
-                        continue;
-                    }
-                    for (i4, wb) in tb.commands.iter().enumerate() {
-                        if i4 <= i3 || !is_write(wb) || !data_dep(rb, wb) {
-                            continue;
-                        }
-                        for (i5, rc1) in tc.commands.iter().enumerate() {
-                            if !is_select(rc1) || !observes(wb, rc1) {
-                                continue;
-                            }
-                            for (i6, rc2) in tc.commands.iter().enumerate() {
-                                if i6 <= i5 || !is_select(rc2) || !observes(wa2, rc2) {
-                                    continue;
-                                }
-                                out.push((
-                                    pi,
-                                    Candidate::Fractured {
-                                        wa1: Cmd { inst: a, local: i1 },
-                                        wa2: Cmd { inst: a, local: i2 },
-                                        rb: Cmd { inst: b, local: i3 },
-                                        wb: Cmd { inst: b, local: i4 },
-                                        rc1: Cmd { inst: c, local: i5 },
-                                        rc2: Cmd { inst: c, local: i6 },
-                                    },
-                                ));
-                                if out.len() >= cap {
-                                    return out;
-                                }
-                                continue 'fractured;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Does any chain template have at least one candidate on this triple?
-/// The static prefilter the engine runs before grounding a model: a triple
-/// with no candidate issues no query and caches an empty verdict.
-pub(crate) fn has_candidates(ts: [&TxnSummary; 3], fps: [u64; 3]) -> bool {
-    !collect_candidates(ts, fps, 1).is_empty()
-}
-
-/// The visibility requirements of one candidate, or `None` when a required
-/// witness record pair does not alias in the grounded model.
-pub(crate) fn requirements(tm: &TripleModel, cand: &Candidate) -> Option<Vec<VisRequirement>> {
-    Some(match *cand {
-        Candidate::Chain { w1, r2, w2, r3a, r3b } => vec![
-            (tm.write_atom(w1, r2)?, tm.cmd(r2), true),
-            (tm.write_atom(w2, r3a)?, tm.cmd(r3a), true),
-            (tm.write_atom(w1, r3b)?, tm.cmd(r3b), false),
-        ],
-        Candidate::Skew { r, w } => vec![
-            (tm.write_atom(w[0], r[1])?, tm.cmd(r[1]), false),
-            (tm.write_atom(w[1], r[2])?, tm.cmd(r[2]), false),
-            (tm.write_atom(w[2], r[0])?, tm.cmd(r[0]), false),
-        ],
-        Candidate::Fractured { wa1, wa2, rb, wb, rc1, rc2 } => vec![
-            (tm.write_atom(wa1, rb)?, tm.cmd(rb), true),
-            (tm.write_atom(wb, rc1)?, tm.cmd(rc1), true),
-            (tm.write_atom(wa2, rc2)?, tm.cmd(rc2), false),
-        ],
-    })
-}
-
-/// The reported anomaly of one satisfiable candidate: anchored on the
-/// broken edge's (write, missing read) commands, with the relaying
-/// transaction(s) as witnesses — so [`crate::AccessPair::witnesses`] names
-/// exactly the coordination set a repair would have to cover.
-pub(crate) fn anomaly(ts: [&TxnSummary; 3], cand: &Candidate) -> AccessPair {
-    let cmd = |c: Cmd| -> &CmdSummary { &ts[c.inst].commands[c.local] };
-    let shared = |w: &CmdSummary, r: &CmdSummary| -> BTreeSet<String> {
-        w.writes.intersection(&r.reads).cloned().collect()
-    };
-    match *cand {
-        Candidate::Chain { w1, r3b, r2, .. } => {
-            let (wc, rc) = (cmd(w1), cmd(r3b));
-            let fields = shared(wc, rc);
-            make_pair(
-                ts[w1.inst],
-                wc,
-                fields.clone(),
-                ts[r3b.inst],
-                rc,
-                fields,
-                BTreeSet::from([ts[r2.inst].name.clone()]),
-                AnomalyKind::ObserverChain,
-            )
-        }
-        Candidate::Skew { r, w } => {
-            let (wc, rc) = (cmd(w[2]), cmd(r[0]));
-            let fields = shared(wc, rc);
-            make_pair(
-                ts[r[0].inst],
-                rc,
-                fields.clone(),
-                ts[w[2].inst],
-                wc,
-                fields,
-                BTreeSet::from([ts[r[1].inst].name.clone()]),
-                AnomalyKind::WriteSkewCycle,
-            )
-        }
-        Candidate::Fractured { wa2, rc2, rb, .. } => {
-            let (wc, rc) = (cmd(wa2), cmd(rc2));
-            let fields = shared(wc, rc);
-            make_pair(
-                ts[wa2.inst],
-                wc,
-                fields.clone(),
-                ts[rc2.inst],
-                rc,
-                fields,
-                BTreeSet::from([ts[rb.inst].name.clone()]),
-                AnomalyKind::FracturedRead,
-            )
-        }
-    }
-}
-
-/// Retained per-triple analysis state: the grounded three-instance model
-/// and, once a query was issued, the incremental solver built on it —
-/// the triple sibling of [`crate::cache::PairState`], held in the verdict
-/// cache's sharded retention map and migrating freely between workers.
-pub(crate) struct TripleState {
-    pub(crate) model: TripleModel,
-    pub(crate) solver: Option<TripleSolver>,
-    pub(crate) txns: [String; 3],
-}
-
-impl TripleState {
-    /// Grounds a fresh analysis state for one transaction triple.
-    pub(crate) fn new(ts: [&TxnSummary; 3]) -> TripleState {
-        TripleState {
-            model: TripleModel::new(ts[0], ts[1], ts[2]),
-            solver: None,
-            txns: [ts[0].name.clone(), ts[1].name.clone(), ts[2].name.clone()],
-        }
-    }
-}
-
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<TripleState>();
-};
-
-/// Analyses one dirty (cache-missed) transaction triple against its
-/// retained (or freshly grounded) [`TripleState`], returning the raw
-/// verdicts and this triple's [`crate::DetectStats`] delta — the single
-/// solving path shared by every worker of the engine's triple phase.
-pub(crate) fn solve_triple_with_state(
-    ts: [&TxnSummary; 3],
-    fps: [u64; 3],
-    level: ConsistencyLevel,
-    state: &mut TripleState,
-    seed: Option<&[Vec<atropos_sat::Lit>]>,
-    proofs: bool,
-) -> (Vec<AccessPair>, crate::DetectStats, Vec<Vec<u8>>) {
-    use std::collections::HashMap;
-    let mut stats = crate::DetectStats::default();
-    let clauses_before = state
-        .solver
-        .as_ref()
-        .map(|s| (s.encoded_clauses(), s.solver_stats()));
-    let candidates = collect_candidates(ts, fps, usize::MAX);
-    let mut out = Vec::new();
-    {
-        let (tm, solver) = (&state.model, &mut state.solver);
-        let mut memo: HashMap<Vec<VisRequirement>, bool> = HashMap::new();
-        // First witness per (template, role permutation): once a template
-        // found a realizable chain under one role assignment, later
-        // candidates of the same shape are redundant witnesses.
-        let mut done: Vec<(u8, u8)> = Vec::new();
-        for (perm, cand) in &candidates {
-            let key = (cand.template(), *perm);
-            if done.contains(&key) {
-                continue;
-            }
-            let Some(reqs) = requirements(tm, cand) else { continue };
-            let sat = match memo.get(&reqs) {
-                Some(&r) => {
-                    stats.memo_hits += 1;
-                    r
-                }
-                None => {
-                    stats.queries += 1;
-                    let s = solver.get_or_insert_with(|| {
-                        let mut s = TripleSolver::with_proofs(tm, proofs);
-                        if let Some(seed) = seed {
-                            s.seed_learnts(seed);
-                            stats.learnt_seeded += seed.len() as u64;
-                        }
-                        s
-                    });
-                    let r = s.satisfiable(tm, level, &reqs);
-                    stats.clauses_fresh_equivalent += s.fresh_equivalent_clauses(level) as u64;
-                    if r {
-                        stats.sat_queries += 1;
-                    }
-                    memo.insert(reqs, r);
-                    r
-                }
-            };
-            if sat {
-                out.push(anomaly(ts, cand));
-                done.push(key);
-            }
-        }
-    }
-    let mut certs = Vec::new();
-    if let Some(s) = &mut state.solver {
-        let (c0, s0) = clauses_before.unwrap_or_default();
-        let st = s.solver_stats();
-        stats.conflicts += st.conflicts - s0.conflicts;
-        stats.propagations += st.propagations - s0.propagations;
-        stats.decisions += st.decisions - s0.decisions;
-        stats.clauses_encoded += (s.encoded_clauses() - c0) as u64;
-        certs = s.take_certificates();
-    }
-    (out, stats, certs)
-}
+/// The incremental anomaly oracle of one transaction triple: the
+/// instance-count-generic [`PairSolver`] (shared base encoding, guarded
+/// level groups, assumption-dispatched queries) over a [`TripleModel`].
+pub type TripleSolver = PairSolver;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::to_labels;
+    use crate::detect::{AccessPair, AnomalyKind};
+    use crate::encode::ConsistencyLevel;
     use crate::model::summarize_program;
+    use crate::template::{has_candidates, solve as solve_item, SolveState};
     use atropos_dsl::parse;
+    use std::collections::BTreeSet;
 
     fn summaries(src: &str) -> Vec<TxnSummary> {
         summarize_program(&parse(src).unwrap())
@@ -626,8 +114,9 @@ mod tests {
 
     fn solve(ts: &[TxnSummary], level: ConsistencyLevel) -> Vec<AccessPair> {
         let trio = [&ts[0], &ts[1], &ts[2]];
-        let mut state = TripleState::new(trio);
-        solve_triple_with_state(trio, fps(ts), level, &mut state, None, false).0
+        let mut state = SolveState::new(&trio);
+        let pairs = solve_item(&trio, &fps(ts), false, level, &mut state, None, false).0;
+        to_labels(&pairs, ts).expect("verdicts name commands of the triple")
     }
 
     /// The canonical 3-hop relay: post writes, relay reads-then-derives,

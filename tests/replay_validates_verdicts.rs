@@ -1,7 +1,7 @@
 //! The witness-replay differential harness — the dynamic half of the
 //! oracle's soundness story. For every initial dirty verdict a full
-//! engine-driven repair run reports on TPC-C, Courseware, SmallBank, and
-//! the Relay chain scenario, in the default pair mode *and* the bounded
+//! engine-driven repair run reports on all nine workloads and the Relay
+//! chain scenario, in the default pair mode *and* the bounded
 //! three-instance triple mode, at EC and CC:
 //!
 //! 1. the verdict's satisfying assignment decodes into a concrete schedule
@@ -16,11 +16,12 @@
 //!    the repair actually **suppresses** the concrete interleaving.
 //!
 //! SmallBank's triple mode doubles as the regression pin for the
-//! orientation bug replay flushed out: its three `WriteSkewCycle`
+//! orientation bug replay once flushed out: its three `WriteSkewCycle`
 //! verdicts carry *two* witnesses each (merged from two canonical trio
-//! orientations), and decoding them requires trying every rotation of the
-//! trio, because the skew enumeration pins the cycle's first role to
-//! instance 0.
+//! orientations), and decoding them requires grounding each trio in the
+//! orientation the engine used, because the skew enumeration pins the
+//! cycle's first role to instance 0. The decoder orients a trio exactly
+//! as the engine does (ascending fingerprint, ties by program position).
 
 use atropos::detect::{
     decode_witness_marked, replay_verdict, ConsistencyLevel, DetectMode, DetectSession,
@@ -107,12 +108,25 @@ validates! {
     smallbank_pair_verdicts_replay => ("SmallBank", Pairs),
     relay_pair_verdicts_replay => ("Relay", Pairs),
     relay_triple_verdicts_replay => ("Relay", Triples),
+    seats_pair_verdicts_replay => ("SEATS", Pairs),
+    seats_triple_verdicts_replay => ("SEATS", Triples),
+    twitter_pair_verdicts_replay => ("Twitter", Pairs),
+    twitter_triple_verdicts_replay => ("Twitter", Triples),
+    fmke_pair_verdicts_replay => ("FMKe", Pairs),
+    fmke_triple_verdicts_replay => ("FMKe", Triples),
+    sibench_pair_verdicts_replay => ("SIBench", Pairs),
+    sibench_triple_verdicts_replay => ("SIBench", Triples),
+    wikipedia_pair_verdicts_replay => ("Wikipedia", Pairs),
+    wikipedia_triple_verdicts_replay => ("Wikipedia", Triples),
+    killrchat_pair_verdicts_replay => ("Killrchat", Pairs),
+    killrchat_triple_verdicts_replay => ("Killrchat", Triples),
 }
 
 /// The orientation regression, pinned explicitly: SmallBank's triple mode
 /// reports three two-witness `WriteSkewCycle` verdicts whose `txn1` is not
 /// the program-order-first transaction of the trio — decoding them only
-/// works if the decoder tries every rotation of the trio orientation.
+/// works if the decoder grounds each trio in the engine's canonical
+/// orientation.
 #[test]
 fn smallbank_triple_verdicts_replay_across_rotations() {
     let b = benchmark("SmallBank").expect("registered benchmark");
